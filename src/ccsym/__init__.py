@@ -4,8 +4,9 @@ Computes, over coefficient rings ``Base[u..][e..]/(e_i^{d_i})``:
 
 * sparse exact arithmetic in iterated Laurent series and their unit-group
   decomposition (``ccsym.laurent``),
-* reduced differential forms, ``dlog`` and the n-dimensional residue
-  (``ccsym.forms``),
+* reduced differential forms, ``dlog`` and the n-dimensional residue, read
+  off a wedge of ``log``/``dlog`` factors in one certified pass
+  (``ccsym.forms.certified_residue``),
 * the explicit higher Contou-Carrere symbol, the additive symbol, the sign
   map and the tame symbol (``ccsym.symbol``),
 * Witt vectors, ghost coordinates and the generalized Witt pairing
@@ -46,7 +47,17 @@ from .laurent import (
     valuation,
     zero,
 )
-from .forms import DiffForm, d, dlog, res, wedge
+from .forms import (
+    DiffForm,
+    Dlog,
+    Log,
+    certified_residue,
+    certified_residues,
+    d,
+    dlog,
+    res,
+    wedge,
+)
 from .symbol import (
     additive_symbol,
     cc,
@@ -68,7 +79,8 @@ __all__ = [
     "LaurentElt", "UnitDecomposition", "Window",
     "coarse_split", "compose_series", "decompose", "exp_sharp", "from_terms", "invert",
     "log_sharp", "monomial", "one", "stable_coefficient", "t_var", "valuation", "zero",
-    "DiffForm", "d", "dlog", "res", "wedge",
+    "DiffForm", "Dlog", "Log", "certified_residue", "certified_residues",
+    "d", "dlog", "res", "wedge",
     "additive_symbol", "cc", "cc_eps_linearization", "cc_eta_linearization",
     "sgn_kh", "sgn_vf", "steinberg_det_check", "tame_symbol",
     "GhostVector", "IndexSet", "WittVector", "ghost", "ghost_to_coords", "upsilon",

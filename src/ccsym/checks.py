@@ -15,19 +15,15 @@ from fractions import Fraction
 
 from .coeff import RingSpec, ring_new
 from .errors import NotInvertibleError
-from .forms import dlog, wedge
+from .forms import Dlog, certified_residue
 from .laurent import (
-    LaurentElt,
     Window,
     from_terms,
     lex_negative,
     lex_positive,
     monomial,
     one,
-    stable_coefficient,
-    t_var,
     valuation,
-    zero,
 )
 from .symbol import (
     additive_symbol,
@@ -184,15 +180,7 @@ def suite_residue_det(ring=None, n=1, trials=20, seed=0):
     def body(rng, k):
         fs = [random_invertible_series(rng, ring, n) for _ in range(n)]
         dt = det_int([valuation(f) for f in fs])
-
-        def build(window):
-            form = dlog(fs[0], window)
-            for f in fs[1:]:
-                form = wedge(form, dlog(f, window))
-            top = form.comps.get(tuple(range(1, n + 1)))
-            return top if top is not None else zero(ring, n)
-
-        r = stable_coefficient(build, (-1,) * n)
+        r = certified_residue(one(ring, n), [Dlog(f) for f in fs])
         if r != ring.from_scalar(dt):
             return {"fs": [str(f) for f in fs], "det": dt, "res": str(r)}
     return _run("residue_det", trials, seed, body)
@@ -266,7 +254,6 @@ def suite_phi_integrality(n=1, js=None, degree=4, radius=3, trials=1, seed=0):
 
 def suite_sgn_agreement(n=1, bound=3, samples=10000, seed=0):
     failures = []
-    checked = 0
     if n == 1:
         grid = [(a,) for a in range(-bound, bound + 1)]
         tuples = [(x, y) for x in grid for y in grid]
@@ -277,11 +264,9 @@ def suite_sgn_agreement(n=1, bound=3, samples=10000, seed=0):
             tuples.append(tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                                 for _ in range(n + 1)))
     for tup in tuples:
-        checked += 1
         if sgn_vf(*tup) != sgn_kh(*tup):
             failures.append({"tuple": tup, "vf": sgn_vf(*tup), "kh": sgn_kh(*tup)})
-    report = _report("sgn_agreement", checked, failures)
-    return report
+    return _report("sgn_agreement", len(tuples), failures)
 
 
 SUITES = {
@@ -297,14 +282,3 @@ SUITES = {
     "sgn_agreement": suite_sgn_agreement,
 }
 
-
-def verify_multilinear(ring=None, n=1, trials=20, seed=0):
-    return suite_multilinear(ring, n, trials, seed)
-
-
-def verify_antisymmetric(ring=None, n=1, trials=20, seed=0):
-    return suite_antisymmetric(ring, n, trials, seed)
-
-
-def verify_steinberg(ring=None, n=1, trials=20, seed=0):
-    return suite_steinberg(ring, n, trials, seed)

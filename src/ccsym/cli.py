@@ -35,7 +35,7 @@ def _series_list(ring, docs):
 def _cmd_cc(doc, args):
     ring = _ring_from(doc)
     entries = _series_list(ring, doc["tuple"])
-    value, trace = cc(entries, max_doublings=args.window_doublings, want_trace=True)
+    value, trace = cc(entries, want_trace=True)
     return {"value": str(value), "branch_trace": trace}
 
 
@@ -71,7 +71,7 @@ def _cmd_witt_pair(doc, args):
     index_set = IndexSet(tuple(sorted(int(i) for i in doc["S"])))
     coords = {int(i): series_from_json(ring, s) for i, s in doc["g"]["coords"].items()}
     vector = WittVector(index_set, coords)
-    out = witt_pair(fs, vector, max_doublings=args.window_doublings)
+    out = witt_pair(fs, vector)
     ghosts = ghost(out)
     integral = all(c.ring.base != "Q" or
                    all(s.denominator == 1 for s in c.terms.values())
@@ -90,7 +90,7 @@ def _cmd_phi(doc, args):
         window = Window.cube(n, 3)
     else:
         window = Window(tuple(int(x) for x in win["lo"]), tuple(int(x) for x in win["hi"]))
-    series = phi_coefficients(key, degree, window, max_doublings=args.window_doublings)
+    series = phi_coefficients(key, degree, window)
     return {"coefficients": series.to_json(),
             "integral": check_integrality(series)["integral"],
             "weight_zero": check_weight_zero(series)["weight_zero"]}
@@ -140,7 +140,6 @@ def main(argv=None):
     parser.add_argument("--file", help="read the JSON request from a file instead of stdin")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--window-doublings", type=int, default=6)
     parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--json-pretty", action="store_true")
     args = parser.parse_args(argv)
@@ -159,18 +158,13 @@ def main(argv=None):
 
     try:
         result = handler(doc, args)
-    except ParseError as exc:
-        _emit({"ok": False, "error": {"kind": "ParseError", "detail": exc.detail}},
-              args.json_pretty)
-        return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        _emit({"ok": False, "error": {"kind": "ParseError", "detail": str(exc)}},
-              args.json_pretty)
-        return 1
-    except EngineError as exc:
-        _emit({"ok": False, "error": {"kind": exc.kind, "detail": exc.detail}},
-              args.json_pretty)
-        return 2
+    except (EngineError, KeyError, TypeError, ValueError) as exc:
+        # malformed fields read as parse errors (exit 1), domain errors exit 2
+        engine = isinstance(exc, EngineError)
+        kind = exc.kind if engine else "ParseError"
+        detail = exc.detail if engine else str(exc)
+        _emit({"ok": False, "error": {"kind": kind, "detail": detail}}, args.json_pretty)
+        return 1 if kind == "ParseError" else 2
     payload = {"ok": True}
     payload.update(result)
     _emit(payload, args.json_pretty)

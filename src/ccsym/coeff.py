@@ -68,37 +68,36 @@ class RingSpec:
         return RingSpec(base=base, free=free, nil=nil, nil_total_cap=cap)
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
 def _prime_power(m):
     """Return (p, e) when m = p**e with p prime, else None."""
-    p = None
-    mm = m
-    for q in range(2, mm + 1):
-        if q * q > mm and p is None:
-            p = mm
-            break
-        if mm % q == 0:
-            p = q
-            break
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
-
-
-def _radical(m):
-    rad = 1
-    q = 2
-    mm = m
-    while q * q <= mm:
-        if mm % q == 0:
-            rad *= q
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        rad *= mm
-    return rad
+    if m >= _MR_BOUND:
+        raise UnsupportedRingError(
+            f"modulus {m} exceeds the range where primality is decided ({_MR_BOUND})")
+    for e in range(1, m.bit_length()):
+        # below the bound a float e-th root (e >= 2) lies far within 1/2 of the exact one
+        p = m if e == 1 else round(m ** (1.0 / e))
+        if p ** e == m and _is_prime(p):
+            return p, e
+    return None
 
 
 class Ring:
@@ -108,7 +107,6 @@ class Ring:
         "spec",
         "base",
         "modulus",
-        "mod_radical",
         "mod_prime_power",
         "gens",
         "nfree",
@@ -134,7 +132,6 @@ class Ring:
         if spec.base in ("Q", "Z"):
             self.base = spec.base
             self.modulus = None
-            self.mod_radical = None
             self.mod_prime_power = None
         else:
             m = int(spec.base)
@@ -142,7 +139,6 @@ class Ring:
                 raise UnsupportedRingError(f"modulus must be >= 2, got {m}")
             self.base = "mod"
             self.modulus = m
-            self.mod_radical = _radical(m)
             self.mod_prime_power = _prime_power(m)
         self.spec = spec
         self.gens = names
@@ -195,7 +191,7 @@ class Ring:
 
     def scalar_is_nilpotent(self, s):
         if self.base == "mod":
-            return s % self.mod_radical == 0
+            return pow(s, self.modulus.bit_length(), self.modulus) == 0
         return s == 0
 
     def scalar_inverse(self, s):
@@ -275,12 +271,6 @@ class Ring:
             raise UnsupportedRingError(f"no generator named {name!r}") from None
         exps = tuple(1 if j == i else 0 for j in range(len(self.gens)))
         return Coef(self, {exps: self.scalar(1)})
-
-    def monomial(self, scalar, **powers):
-        exps = [0] * len(self.gens)
-        for name, e in powers.items():
-            exps[self._gen_index[name]] = e
-        return self.make({tuple(exps): self.scalar(scalar)})
 
     # -- derived rings ------------------------------------------------------
 
@@ -362,6 +352,9 @@ class Ring:
                 if "^" in g:
                     name, _, e = g.partition("^")
                     exp = int(e)
+                    if exp < 0:
+                        raise ParseError(f"negative exponent in {g!r}: generators are "
+                                         "polynomial, not Laurent")
                 else:
                     name, exp = g, 1
                 if name not in self._gen_index:
@@ -629,44 +622,3 @@ class Coef:
 
     __repr__ = __str__
 
-
-def arith(op, x: Coef, y: Coef = None) -> Coef:
-    """Named entry point for the four ring operations."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    raise ParseError(f"unknown operation {op!r}")
-
-
-def coef_exp(x: Coef) -> Coef:
-    return x.exp()
-
-
-def coef_log(x: Coef) -> Coef:
-    return x.log()
-
-
-def is_nilpotent(x: Coef) -> bool:
-    return x.is_nilpotent()
-
-
-def nil_order(x: Coef) -> int:
-    return x.nil_order()
-
-
-def is_invertible(x: Coef) -> bool:
-    return x.is_invertible()
-
-
-def inverse(x: Coef) -> Coef:
-    return x.inverse()
-
-
-def nil_index(ring: Ring) -> int:
-    ring.requires_connected()
-    return ring.nil_index

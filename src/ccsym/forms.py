@@ -4,14 +4,35 @@ A degree-k form is a sparse map from strictly increasing index tuples
 ``(i_1 < ... < i_k)`` to series coefficients of ``dt_{i_1} ^ ... ^ dt_{i_k}``.
 The module provides the de Rham differential, wedge products, ``dlog`` of an
 invertible series, and the n-dimensional residue (the coefficient of
-``t_1^-1 ... t_n^-1 dt_1 ^ ... ^ dt_n``).
+``t_1^-1 ... t_n^-1 dt_1 ^ ... ^ dt_n``), read either off a given form or,
+through ``certified_residue``, off a wedge of ``log`` and ``dlog`` factors
+that are expanded once, up to the ceiling the residue needs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import permutations
+
 from .coeff import Ring
-from .errors import ParseError, RingMismatchError
-from .laurent import LaurentElt, Window, coarse_split, invert, monomial, series_from_json, zero
+from .errors import ParseError, RingMismatchError, StabilityExhaustedError
+from .laurent import (
+    LaurentElt,
+    Window,
+    _add_idx,
+    _le_idx,
+    _min_idx,
+    _sub_idx,
+    coarse_split,
+    expansion_floor,
+    invert,
+    log_sharp,
+    monomial,
+    one,
+    product_coefficient,
+    series_from_json,
+    zero,
+)
 
 
 class DiffForm:
@@ -31,10 +52,6 @@ class DiffForm:
     @staticmethod
     def from_series(f: LaurentElt):
         return DiffForm._make(f.ring, f.n, 0, {(): f})
-
-    @staticmethod
-    def zero_form(ring, n, degree):
-        return DiffForm(ring, n, degree, {})
 
     def component(self, idx):
         idx = tuple(idx)
@@ -89,15 +106,6 @@ class DiffForm:
                                for idx, g in sorted(self.comps.items())]}
 
 
-def _insert_sign(i, idx):
-    """Position sign for dt_i ^ dt_idx; None when i already occurs."""
-    if i in idx:
-        return None, None
-    pos = sum(1 for j in idx if j < i)
-    merged = tuple(sorted(idx + (i,)))
-    return (-1) ** pos, merged
-
-
 def _merge_sign(a, b):
     """Shuffle sign merging two strictly increasing tuples; None on overlap."""
     if set(a) & set(b):
@@ -117,7 +125,7 @@ def d(omega) -> DiffForm:
     raw = {}
     for idx, g in omega.comps.items():
         for i in range(1, omega.n + 1):
-            sign, merged = _insert_sign(i, idx)
+            sign, merged = _merge_sign((i,), idx)
             if sign is None:
                 continue
             part = g.partial(i)
@@ -149,6 +157,21 @@ def wedge(w1, w2) -> DiffForm:
     return DiffForm._make(w1.ring, w1.n, w1.degree + w2.degree, raw)
 
 
+def _unit_vector(n, j, value=1):
+    return tuple(value if i == j - 1 else 0 for i in range(n))
+
+
+def dlog_monomial(ring, n, nu) -> DiffForm:
+    """The exact 1-form ``sum_j nu_j dt_j / t_j``: dlog of the monomial ``t^nu``."""
+    return DiffForm._make(ring, n, 1, {
+        (j,): monomial(ring, n, _unit_vector(n, j, -1), nu[j - 1])
+        for j in range(1, n + 1) if nu[j - 1]})
+
+
+def _is_one(s):
+    return s.terms == {(0,) * s.n: s.ring.one()}
+
+
 def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     """d(f)/f as a degree-1 form, computed factorwise on the unit splitting.
 
@@ -157,14 +180,8 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     the window protocol (exact when the inverse terminates by nilpotency).
     """
     nu, _, s = coarse_split(f)
-    ring, n = f.ring, f.n
-    out = DiffForm.zero_form(ring, n, 1)
-    for j in range(1, n + 1):
-        if nu[j - 1]:
-            idx = tuple(-1 if i == j - 1 else 0 for i in range(n))
-            out = out + DiffForm._make(
-                ring, n, 1, {(j,): monomial(ring, n, idx, nu[j - 1])})
-    if s.terms != {(0,) * n: ring.one()}:
+    out = dlog_monomial(f.ring, f.n, nu)
+    if not _is_one(s):
         out = out + d(s).scale(invert(s, window))
     return out
 
@@ -173,8 +190,8 @@ def res(omega: DiffForm):
     """Residue of a top-degree form: the coefficient at (-1, ..., -1).
 
     On windowed components this reads a certified coefficient and raises a
-    window error when the trust region does not cover the corner; callers
-    drive it through the stability protocol.
+    window error when the trust region does not cover the corner;
+    ``certified_residue`` derives windows that do.
     """
     if omega.degree != omega.n:
         raise ParseError(f"residue needs a degree-{omega.n} form, got degree {omega.degree}")
@@ -182,6 +199,166 @@ def res(omega: DiffForm):
     if top is None:
         return omega.ring.zero()
     return top.coefficient((-1,) * omega.n)
+
+
+# -- target-driven residues ------------------------------------------------------
+
+@dataclass(eq=False)
+class Log:
+    """The 0-form ``log s`` of a multiplicatively sharp series."""
+
+    s: LaurentElt
+
+
+@dataclass(eq=False)
+class Dlog:
+    """The 1-form ``dlog f`` of an invertible series."""
+
+    f: LaurentElt
+
+
+def _max_idx(l, m):
+    return m if l is None else tuple(max(a, b) for a, b in zip(l, m))
+
+
+class _Factor:
+    """One factor of a residue, described before anything is expanded.
+
+    ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
+    ``dt_i``) to its certified floor.  ``inner`` maps the components holding
+    the factor's expansion (a log or an inverse, of floor ``low``) to the
+    floor of what multiplies it there; ``need`` gathers the ceiling that
+    expansion must reach.  ``his`` are the ceilings of a windowed input.
+    """
+
+    def __init__(self, x):
+        self.source, self.floors, self.inner, self.his = x, {}, {}, {}
+        self.low = self.need = None
+        if isinstance(x, Log):
+            s, self.degree = x.s, 0
+            self.low = self.floors[()] = expansion_floor(s - one(s.ring, s.n))
+            self.inner[()] = (0,) * s.n
+        elif isinstance(x, Dlog):
+            nu, _, s = coarse_split(x.f)
+            self.degree = 1
+            for j in range(1, s.n + 1):
+                if nu[j - 1]:
+                    self.floors[(j,)] = _unit_vector(s.n, j, -1)
+            if not _is_one(s):
+                self.low = expansion_floor(s - one(s.ring, s.n))
+                for l in s.terms:  # the support of d(s), read off s
+                    for j in range(1, s.n + 1):
+                        if l[j - 1]:
+                            lo = _sub_idx(l, _unit_vector(s.n, j))
+                            self.inner[(j,)] = _min_idx(self.inner.get((j,), lo), lo)
+                for idx, lo in self.inner.items():
+                    lo = _add_idx(lo, self.low)
+                    self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
+        else:
+            s = self.source = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
+            self.degree = s.degree
+            for idx, part in s.comps.items():
+                self.floors[idx] = part._floor() or (0,) * s.n
+                if part.hi is not None:
+                    self.his[idx] = part.hi
+        self.ring, self.n = s.ring, s.n
+
+    def evaluate(self, hi):
+        """The factor as a form, its expansion certified up to ``hi``."""
+        if isinstance(self.source, DiffForm):
+            return self.source
+        window = None if self.low is None else Window(_min_idx(self.low, hi), hi)
+        if isinstance(self.source, Log):
+            return DiffForm.from_series(log_sharp(self.source.s, window))
+        return dlog(self.source.f, window)
+
+
+def certified_residues(terms):
+    """``res(g ^ w_1 ^ ... ^ w_n)`` for each ``(g, [w_1, ..., w_n])`` of a batch.
+
+    ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
+    Series and forms are taken as given, exact or windowed; each ``Log`` and
+    ``Dlog`` is expanded once for the whole batch (factors are shared by
+    identity), up to the ceiling the target ``(-1, ..., -1)`` needs:
+
+    1. floors: each factor's certified floor, from its generator alone;
+    2. ceilings: an expansion must reach the target minus the floors of the
+       other factors, in every summand of every wedge it enters (the logs of
+       a batch share one window, the highest any of them needs);
+    3. one evaluation: each expansion at its ceiling, and the last product
+       of each wedge accumulated at the target only.
+
+    The ceilings cover the target by construction, so nothing is retried.
+    A windowed input that cannot reach the target raises
+    ``StabilityExhaustedError`` before anything is expanded.
+    """
+    factors, plans = {}, []
+    for g, slots in terms:
+        n = len(slots)
+        target = (-1,) * n
+        chosen = []
+        for x, degree in [(g, 0)] + [(w, 1) for w in slots]:
+            if id(x) not in factors:
+                factors[id(x)] = _Factor(x)
+            if factors[id(x)].degree != degree:
+                raise ParseError(f"a residue factor of degree {factors[id(x)].degree} "
+                                 f"where {degree} is due")
+            chosen.append(factors[id(x)])
+        if not slots or any(f.n != n for f in chosen):
+            raise ParseError(f"a residue over {chosen[0].n} variables takes as many 1-forms")
+        live = False
+        for perm in permutations(range(1, n + 1)):
+            idxs = [()] + [(i,) for i in perm]
+            floors = [f.floors.get(idx) for f, idx in zip(chosen, idxs)]
+            if None in floors:
+                continue
+            live = True
+            total = target
+            for fl in floors:
+                total = _sub_idx(total, fl)
+            for f, idx, fl in zip(chosen, idxs, floors):
+                need = _add_idx(total, fl)  # the target minus the other factors' floors
+                if idx in f.inner:
+                    f.need = _max_idx(f.need, _sub_idx(need, f.inner[idx]))
+                if idx in f.his and not _le_idx(need, f.his[idx]):
+                    raise StabilityExhaustedError(
+                        f"a windowed factor certified up to {f.his[idx]} cannot reach "
+                        f"the residue at {target}")
+        plans.append((chosen, live))
+
+    log_need = None
+    for f in factors.values():
+        if isinstance(f.source, Log) and f.need is not None:
+            log_need = _max_idx(log_need, f.need)
+    values = {}
+
+    def value(f):
+        if id(f) not in values:
+            hi = log_need if isinstance(f.source, Log) else f.need
+            values[id(f)] = f.evaluate(hi or f.low)
+        return values[id(f)]
+
+    out = []
+    for chosen, live in plans:
+        acc = chosen[0].ring.zero()
+        if live:
+            form = value(chosen[0])
+            for f in chosen[1:-1]:
+                form = wedge(form, value(f))
+            target = (-1,) * chosen[0].n
+            for idx, a in form.comps.items():
+                for i, b in value(chosen[-1]).comps.items():
+                    sign, _ = _merge_sign(idx, i)
+                    if sign is not None:
+                        c = product_coefficient(a, b, target)
+                        acc = acc + c if sign == 1 else acc - c
+        out.append(acc)
+    return out
+
+
+def certified_residue(g, slots):
+    """``res(g ^ w_1 ^ ... ^ w_n)``; see :func:`certified_residues`."""
+    return certified_residues([(g, slots)])[0]
 
 
 def form_from_json(ring: Ring, n: int, doc) -> DiffForm:

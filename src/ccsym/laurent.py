@@ -49,10 +49,6 @@ def lex_le(l, m):
     return lex_key(l) <= lex_key(m)
 
 
-def lex_lt(l, m):
-    return lex_key(l) < lex_key(m)
-
-
 def lex_positive(l):
     return lex_key(l) > (0,) * len(l)
 
@@ -95,10 +91,6 @@ class Window:
     @staticmethod
     def cube(n, radius):
         return Window((-radius,) * n, (radius,) * n)
-
-    def to_json(self):
-        return {"lo": list(self.lo), "hi": list(self.hi)}
-
 
 class LaurentElt:
     """A sparse iterated Laurent polynomial, exact or certified on a window."""
@@ -145,16 +137,6 @@ class LaurentElt:
         for l in it:
             lo = tuple(min(a, b) for a, b in zip(lo, l))
         return lo
-
-    def support_hi(self):
-        it = iter(self.terms)
-        first = next(it, None)
-        if first is None:
-            return None
-        hi = first
-        for l in it:
-            hi = tuple(max(a, b) for a, b in zip(hi, l))
-        return hi
 
     def _floor(self):
         """Certified componentwise lower bound of the true support."""
@@ -279,8 +261,11 @@ class LaurentElt:
     # -- predicates ---------------------------------------------------------------
 
     def is_sharp_add(self):
-        """Constant and lex-negative coefficients nilpotent; positive part free."""
-        self._require_exact("sharp test")
+        """Constant and lex-negative coefficients nilpotent; positive part free.
+
+        A windowed element is judged on its stored terms: the expansions that
+        accept one (log, exp, composition) certify the rest from its floor.
+        """
         zero_idx = (0,) * self.n
         for l, c in self.terms.items():
             if (l == zero_idx or lex_negative(l)) and not c.is_nilpotent():
@@ -336,26 +321,19 @@ class LaurentElt:
         return {"n": self.n, "terms": terms, "window": window}
 
 
+def _min_known(l, m):
+    """Componentwise minimum, ``None`` standing for no bound."""
+    return m if l is None else l if m is None else _min_idx(l, m)
+
+
 def _combine_hi_add(a, b):
-    if a.hi is None and b.hi is None:
-        return None
-    if a.hi is None:
-        return b.hi
-    if b.hi is None:
-        return a.hi
-    return _min_idx(a.hi, b.hi)
+    return _min_known(a.hi, b.hi)
 
 
 def _combine_floor_add(a, b):
-    hi = _combine_hi_add(a, b)
-    if hi is None:
+    if _combine_hi_add(a, b) is None:
         return None
-    fa, fb = a._floor(), b._floor()
-    if fa is None:
-        return fb
-    if fb is None:
-        return fa
-    return _min_idx(fa, fb)
+    return _min_known(a._floor(), b._floor())
 
 
 def _combine_hi_mul(a, b):
@@ -392,6 +370,23 @@ def _mul_terms(a, b, hi):
             cur = out.get(l)
             out[l] = c if cur is None else cur + c
     return out
+
+
+def product_coefficient(a: LaurentElt, b: LaurentElt, l):
+    """The certified coefficient of ``a * b`` at ``l``, without forming the product."""
+    l = tuple(l)
+    if (a.is_exact() and not a.terms) or (b.is_exact() and not b.terms):
+        return a.ring.zero()
+    hi = _combine_hi_mul(a, b)
+    if hi is not None and not _le_idx(l, hi):
+        raise WindowExceededError(
+            f"coefficient at {l} lies outside the certified region (hi={hi})")
+    acc = a.ring.zero()
+    for la, ca in a.terms.items():
+        cb = b.terms.get(_sub_idx(l, la))
+        if cb is not None:
+            acc = acc + ca * cb
+    return acc
 
 
 # -- constructors ---------------------------------------------------------------
@@ -434,16 +429,6 @@ def from_terms(ring, n, pairs, window=None):
     return LaurentElt._make(ring, n, raw, tuple(window.hi), tuple(window.lo))
 
 
-def series_arith(op, f, g):
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ParseError(f"unknown operation {op!r}")
-
-
 # -- valuation and decomposition ---------------------------------------------------
 
 def valuation(f: LaurentElt):
@@ -471,11 +456,6 @@ def neg_part(f: LaurentElt):
                       {l: c for l, c in f.terms.items() if lex_negative(l)}, f.hi, f.floor)
 
 
-def pos_part(f: LaurentElt):
-    return LaurentElt(f.ring, f.n,
-                      {l: c for l, c in f.terms.items() if lex_positive(l)}, f.hi, f.floor)
-
-
 @dataclass
 class UnitDecomposition:
     """f = t^nu * c * v_plus * v_minus, the canonical unit-group splitting."""
@@ -494,19 +474,6 @@ class UnitDecomposition:
                 "v_plus": self.v_plus.to_json(), "v_minus": self.v_minus.to_json()}
 
 
-def _invert_nil_unipotent(u: LaurentElt):
-    """(1+u)^{-1} for u with all coefficients nilpotent; exact finite series."""
-    ring = u.ring
-    acc = one(ring, u.n)
-    p = -u
-    for _ in range(ring.nil_index + 1):
-        if not p.terms:
-            return acc
-        acc = acc + p
-        p = p * (-u)
-    raise InternalConsistencyError("nilpotent geometric series failed to terminate")
-
-
 def coarse_split(f: LaurentElt):
     """f = t^nu * c * S with c the leading coefficient and S sharp, constant 1.
 
@@ -517,7 +484,7 @@ def coarse_split(f: LaurentElt):
     nu = valuation(f)
     g = f.shift(tuple(-x for x in nu))
     c = g.constant_coefficient()
-    return nu, c, g * c.inverse()
+    return nu, c, g if c.is_one() else g * c.inverse()
 
 
 _DIVISION_CAP = 20000
@@ -574,7 +541,7 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
             break
         delta = _divide_neg_defect(d, q)
         v_minus = v_minus * (unit + delta)
-        inv_v_minus = inv_v_minus * _invert_nil_unipotent(delta)
+        inv_v_minus = inv_v_minus * invert(unit + delta)  # exact: delta is nilpotent
     else:
         raise InternalConsistencyError("lex-negative peeling did not terminate")
     c_extra = q.constant_coefficient()
@@ -585,6 +552,67 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
 
 
 # -- certified series expansion ------------------------------------------------------
+
+def _generator_parts(g: LaurentElt):
+    """Unit monomials, nilpotent monomials and expansion floor of a generator.
+
+    Raises for the generators no box window can expand, as the expansion
+    itself would.
+    """
+    if g.hi is not None and any(x < 0 for x in g._floor() or (0,) * g.n):
+        raise StabilityExhaustedError(
+            "cannot expand over a windowed generator with negative support floor")
+    unit_idx = []
+    nil_idx = []
+    for l, c in g.terms.items():
+        (nil_idx if c.is_nilpotent() else unit_idx).append(l)
+    for l in unit_idx:
+        if not lex_positive(l):
+            raise InternalConsistencyError(
+                f"expansion generator has a unit coefficient at non-positive index {l}")
+    if any(x < 0 for l in unit_idx for x in l):
+        raise StabilityExhaustedError(
+            "expansion generator has a unit coefficient in a mixed lex direction; "
+            "its tail cannot be captured by any box window")
+    floor = tuple(-_nil_depth(g.ring, [(-l[j], g.terms[l]) for l in nil_idx if l[j] < 0])
+                  for j in range(g.n))
+    return unit_idx, nil_idx, floor
+
+
+def _nil_depth(ring, items):
+    """Largest ``sum v`` over the nonzero products of the coefficients ``c``
+    of ``items`` (pairs ``(v, c)``, ``v > 0``, repetition allowed).
+
+    A nonzero product has at most ``nil_index - 1`` factors.  It also dies
+    once the exponents of some nil generator add up to its order, or its nil
+    degree passes the ring's cap: a budget that every ``c`` draws on (at
+    least ``cost(c)`` per factor) bounds the sum by ``budget * max(v / cost)``.
+    """
+    if not items:
+        return 0
+    best = (ring.nil_index - 1) * max(v for v, _ in items)
+    budgets = [d - 1 for d in ring.nil_orders] + [ring._max_nildeg]
+    costs = []
+    for v, c in items:
+        nil = [e[ring.nfree:] for e in c.terms]
+        costs.append((v, [min(e[k] for e in nil) for k in range(len(ring.nil_orders))]
+                      + [min(sum(e) for e in nil)]))
+    for k, budget in enumerate(budgets):
+        if all(cost[k] > 0 for _, cost in costs):
+            best = min(best, max(budget * v // cost[k] for v, cost in costs))
+    return best
+
+
+def expansion_floor(g: LaurentElt):
+    """Certified componentwise floor of every ``sum c_i g^i``, from ``g`` alone.
+
+    Unit monomials are componentwise nonnegative, so a term falls below zero
+    in ``t_j`` only through a nonzero product of nilpotent coefficients whose
+    exponents sum below zero; ``_nil_depth`` bounds how deep.  Nothing is
+    expanded.
+    """
+    return _generator_parts(g)[2]
+
 
 def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= hi}``.
@@ -600,21 +628,10 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     """
     ring = g.ring
     n = g.n
+    unit_idx, nil_idx, work_lo = _generator_parts(g)
     if g.hi is not None:
-        floor = g._floor() or (0,) * n
-        if any(x < 0 for x in floor):
-            raise StabilityExhaustedError(
-                "cannot expand over a windowed generator with negative support floor")
         hi = g.hi if hi is None else tuple(min(a, b) for a, b in zip(hi, g.hi))
     a_budget = ring.nil_index - 1
-    unit_idx = []
-    nil_idx = []
-    for l, c in g.terms.items():
-        (nil_idx if c.is_nilpotent() else unit_idx).append(l)
-    for l in unit_idx:
-        if not lex_positive(l):
-            raise InternalConsistencyError(
-                f"expansion generator has a unit coefficient at non-positive index {l}")
 
     def scalar_at(i):
         c = coeff_at(i)
@@ -638,24 +655,18 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
                     "series coefficients exhausted before the expansion terminated")
         return acc
 
-    if any(x < 0 for l in unit_idx for x in l):
-        raise StabilityExhaustedError(
-            "expansion generator has a unit coefficient in a mixed lex direction; "
-            "its tail cannot be captured by any box window")
     if hi is None:
         raise StabilityExhaustedError("infinite expansion requires a window")
 
-    negnil = tuple(min((min(0, l[j]) for l in nil_idx), default=0) for j in range(n))
     posnil = tuple(max((max(0, l[j]) for l in nil_idx), default=0) for j in range(n))
     posu = tuple(max((l[j] for l in unit_idx), default=0) for j in range(n))
-    b_budget = max(0, sum(hi) + a_budget * sum(-x for x in negnil))
+    b_budget = max(0, sum(hi) - sum(work_lo))
     budget = b_budget + a_budget
     clipped = max_degree is not None and max_degree < budget
     if clipped:
         budget = max_degree
-    work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j],
-                        hi[j] + a_budget * (-negnil[j])) for j in range(n))
-    work_lo = tuple(a_budget * negnil[j] for j in range(n))
+    work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j], hi[j] - work_lo[j])
+                    for j in range(n))
     if budget > _EXPANSION_SANITY:
         raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
 
@@ -715,30 +726,11 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     return (inv_s * c.inverse()).shift(tuple(-x for x in nu))
 
 
-def is_sharp_add(f: LaurentElt) -> bool:
-    """Constant and lex-negative coefficients nilpotent (exact input)."""
-    return f.is_sharp_add()
-
-
-def is_sharp_mult(f: LaurentElt) -> bool:
-    """f = 1 + g with g additively sharp (exact input)."""
-    return f.is_sharp_mult()
-
-
-def _sharp_add_ok(g: LaurentElt):
-    """Sharpness of the stored terms; exactness handled by the expansion."""
-    zero_idx = (0,) * g.n
-    for l, c in g.terms.items():
-        if (l == zero_idx or lex_negative(l)) and not c.is_nilpotent():
-            return False
-    return True
-
-
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
     g = f - one(f.ring, f.n)
-    if not _sharp_add_ok(g):
+    if not g.is_sharp_add():
         raise NotSharpError(f"{f} is not multiplicatively sharp")
     return _expand_series(g, lambda i: Fraction((-1) ** (i + 1), i) if i else 0,
                           None if window is None else tuple(window.hi))
@@ -747,7 +739,7 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    if not _sharp_add_ok(g):
+    if not g.is_sharp_add():
         raise NotSharpError(f"{g} is not additively sharp")
     fact = [Fraction(1)]
 
@@ -761,7 +753,7 @@ def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
 
 def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
     """phi(f) for a univariate power series phi given by its coefficients."""
-    if not _sharp_add_ok(f):
+    if not f.is_sharp_add():
         raise NotSharpError(f"{f} is not additively sharp")
     coeffs = list(phi_coeffs)
     return _expand_series(f, lambda i: coeffs[i],

@@ -7,7 +7,8 @@ three kinds of elementary values:
 * all slots monomial: a sign ``(-1)^sgn(l_1,...,l_{n+1})``;
 * one slot a constant unit ``c``, the rest monomial: ``c^det(nu(...))``;
 * a sharp slot present: ``exp res(log(f) dlog(g_2) ^ ... ^ dlog(g_{n+1}))``,
-  with the residue evaluated under the certified window protocol and checked
+  with the residues read by ``forms.certified_residues`` (each log and
+  inverse expanded once, up to the ceiling the residue needs) and checked
   nilpotent before exponentiating.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
@@ -19,27 +20,9 @@ form over a field.
 from __future__ import annotations
 
 from .coeff import Coef
-from .errors import (
-    InternalConsistencyError,
-    NotInvertibleError,
-    ParseError,
-    StabilityExhaustedError,
-    UnsupportedRingError,
-    WindowExceededError,
-)
-from .forms import DiffForm, d, dlog, res, wedge
-from .laurent import (
-    LaurentElt,
-    Window,
-    coarse_split,
-    invert,
-    log_sharp,
-    monomial,
-    one,
-    stable_coefficient,
-    valuation,
-    zero,
-)
+from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
+from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
+from .laurent import LaurentElt, coarse_split, one, valuation
 
 
 # -- integer linear algebra ----------------------------------------------------
@@ -131,37 +114,7 @@ def steinberg_det_check(entries):
 
 # -- the symbol -------------------------------------------------------------------
 
-def _mu_form(ring, n, nu):
-    """The exact 1-form sum_j nu_j dt_j / t_j of a monomial slot."""
-    out = DiffForm.zero_form(ring, n, 1)
-    comps = {}
-    for j in range(1, n + 1):
-        if nu[j - 1]:
-            idx = tuple(-1 if i == j - 1 else 0 for i in range(n))
-            comps[(j,)] = monomial(ring, n, idx, nu[j - 1])
-    return DiffForm._make(ring, n, 1, comps) if comps else out
-
-
-def _sharp_dlog(s, window):
-    """dlog of a sharp slot: d(S) * S^{-1}."""
-    return d(s).scale(invert(s, window))
-
-
-def _initial_window(elts, n):
-    depth = [1] * n
-    height = [1] * n
-    for f in elts:
-        lo, hi = f.support_lo(), f.support_hi()
-        if lo is None:
-            continue
-        for j in range(n):
-            depth[j] += max(0, -lo[j])
-            height[j] += max(0, hi[j])
-    hi = tuple(max(d, h, 2) for d, h in zip(depth, height))
-    return Window(tuple(-x for x in hi), hi)
-
-
-def cc(entries, max_doublings=6, want_trace=False):
+def cc(entries, want_trace=False):
     """The multilinear antisymmetric symbol of n+1 invertible series.
 
     Requires rational coefficients whenever a sharp (exp-res) branch
@@ -211,8 +164,7 @@ def cc(entries, max_doublings=6, want_trace=False):
             raise UnsupportedRingError(
                 "exp-res branch needs rational coefficients; over integral bases "
                 "use the universal integral series (ccsym.universal.evaluate_phi)")
-        total = _sharp_contribution(ring, n, nus, sharp, subsets,
-                                    max_doublings, trace)
+        total = _sharp_contribution(ring, n, nus, sharp, subsets, trace)
         if not total.is_nilpotent():
             raise InternalConsistencyError(
                 f"residue {total} of the sharp branch is not nilpotent")
@@ -221,55 +173,47 @@ def cc(entries, max_doublings=6, want_trace=False):
     return (value, trace) if want_trace else value
 
 
-def _sharp_contribution(ring, n, nus, sharp, subsets, max_doublings, trace):
-    window = _initial_window(list(sharp.values()), n)
-    for _ in range(max_doublings + 1):
-        try:
-            total = ring.zero()
-            logs = {}
-            omegas = {}
-            for t_set in subsets:
-                k = min(t_set)
-                if k not in logs:
-                    logs[k] = DiffForm.from_series(log_sharp(sharp[k], window))
-                form = logs[k]
-                for j in range(n + 1):
-                    if j == k:
-                        continue
-                    if j in t_set:
-                        if j not in omegas:
-                            omegas[j] = _sharp_dlog(sharp[j], window)
-                        form = wedge(form, omegas[j])
-                    else:
-                        form = wedge(form, _mu_form(ring, n, nus[j]))
-                r = res(form)
-                if r:
-                    if not r.is_nilpotent():
-                        raise InternalConsistencyError(
-                            f"sharp-branch residue {r} is not nilpotent")
-                    trace.append(f"sharp slots {sorted(x + 1 for x in t_set)}: "
-                                 f"exp({'-' if k % 2 else ''}res) with res = {r}")
-                total = total + (r if k % 2 == 0 else -r)
-            return total
-        except WindowExceededError:
-            window = Window(tuple(x * 2 if x < 0 else -2 for x in window.lo),
-                            tuple(x * 2 if x > 0 else 2 for x in window.hi))
-    raise StabilityExhaustedError(
-        f"symbol residues did not stabilize within {max_doublings} window doublings")
+def _sharp_contribution(ring, n, nus, sharp, subsets, trace):
+    """Sum of the signed residues res(log S_k ^ ...), one per subset of sharp slots.
+
+    A subset T with least slot k contributes log of k's sharp factor, dlog of
+    the sharp factors of the other slots in T and the monomial dlog of the
+    slots outside T; all of them go to one certified evaluation.
+    """
+    logs = {k: Log(s_part) for k, s_part in sharp.items()}
+    dlogs = {j: Dlog(s_part) for j, s_part in sharp.items()}
+    monomials = [dlog_monomial(ring, n, nu) for nu in nus]
+    terms = []
+    for t_set in subsets:
+        k = min(t_set)
+        terms.append((logs[k], [dlogs[j] if j in t_set else monomials[j]
+                                for j in range(n + 1) if j != k]))
+    total = ring.zero()
+    for t_set, r in zip(subsets, certified_residues(terms)):
+        k = min(t_set)
+        if r:
+            if not r.is_nilpotent():
+                raise InternalConsistencyError(
+                    f"sharp-branch residue {r} is not nilpotent")
+            trace.append(f"sharp slots {sorted(x + 1 for x in t_set)}: "
+                         f"exp({'-' if k % 2 else ''}res) with res = {r}")
+        total = total + (r if k % 2 == 0 else -r)
+    return total
 
 
 # -- tangent identities -------------------------------------------------------------
 
-def _fresh_name(ring, base):
-    name = base
-    k = 0
+def _adjoin(ring, base, order):
+    """``ring[x]/(x^order)`` for a fresh name ``x``: (ring, embedding, x)."""
+    k, name = 0, base
     while name in ring.gens:
         k += 1
         name = f"{base}{k}"
-    return name
+    ext, embed = ring.extended(((name, order),))
+    return ext, embed, ext.gen(name)
 
 
-def cc_eps_linearization(g: LaurentElt, entries, max_doublings=6):
+def cc_eps_linearization(g: LaurentElt, entries):
     """Dual-path check of the first-order expansion in a square-zero variable.
 
     Left: the symbol of ``(1 + g*eps, f_1, ..., f_n)`` over the extended ring.
@@ -279,26 +223,16 @@ def cc_eps_linearization(g: LaurentElt, entries, max_doublings=6):
     ring, n = g.ring, g.n
     if len(entries) != n:
         raise ParseError(f"need {n} series besides g")
-    name = _fresh_name(ring, "eps")
-    ext, embed = ring.extended(((name, 2),))
-    eps = ext.gen(name)
+    ext, embed, eps = _adjoin(ring, "eps", 2)
     g_e = g.map_coefficients(ext, embed)
     fs_e = [f.map_coefficients(ext, embed) for f in entries]
-    lhs = cc([one(ext, n) + g_e * eps] + fs_e, max_doublings=max_doublings)
-
-    def build(window):
-        form = DiffForm.from_series(g)
-        for f in entries:
-            form = wedge(form, dlog(f, window))
-        top = form.comps.get(tuple(range(1, n + 1)))
-        return top if top is not None else zero(ring, n)
-
-    r = stable_coefficient(build, (-1,) * n, _initial_window(entries, n), max_doublings)
+    lhs = cc([one(ext, n) + g_e * eps] + fs_e)
+    r = certified_residue(g, [Dlog(f) for f in entries])
     rhs = ext.one() + embed(r) * eps
     return {"lhs": lhs, "rhs": rhs, "residue": r, "ok": lhs == rhs}
 
 
-def cc_eta_linearization(gs, max_doublings=6):
+def cc_eta_linearization(gs):
     """Dual-path check of the top-order expansion in a variable with eta^{n+2}=0.
 
     Left: the symbol of ``(1 + g_1 eta, ..., 1 + g_{n+1} eta)``.
@@ -308,15 +242,10 @@ def cc_eta_linearization(gs, max_doublings=6):
     ring, n = gs[0].ring, gs[0].n
     if len(gs) != n + 1:
         raise ParseError(f"need n+1 = {n + 1} series")
-    name = _fresh_name(ring, "eta")
-    ext, embed = ring.extended(((name, n + 2),))
-    eta = ext.gen(name)
+    ext, embed, eta = _adjoin(ring, "eta", n + 2)
     lifted = [one(ext, n) + g.map_coefficients(ext, embed) * eta for g in gs]
-    lhs = cc(lifted, max_doublings=max_doublings)
-    form = DiffForm.from_series(gs[0])
-    for g in gs[1:]:
-        form = wedge(form, d(g))
-    r = res(form)
+    lhs = cc(lifted)
+    r = certified_residue(gs[0], [d(g) for g in gs[1:]])
     rhs = ext.one() + embed(r) * eta ** (n + 1)
     return {"lhs": lhs, "rhs": rhs, "residue": r, "ok": lhs == rhs}
 
@@ -339,18 +268,3 @@ def tame_symbol(f: LaurentElt, g: LaurentElt) -> Coef:
     lead_g = g.terms[(b,)]
     sign = ring.from_scalar(-1 if (a * b) % 2 else 1)
     return sign * lead_f ** b * lead_g ** (-a)
-
-
-def verify_multilinear(ring=None, n=1, trials=20, seed=0):
-    from .checks import suite_multilinear
-    return suite_multilinear(ring, n, trials, seed)
-
-
-def verify_antisymmetric(ring=None, n=1, trials=20, seed=0):
-    from .checks import suite_antisymmetric
-    return suite_antisymmetric(ring, n, trials, seed)
-
-
-def verify_steinberg(ring=None, n=1, trials=20, seed=0):
-    from .checks import suite_steinberg
-    return suite_steinberg(ring, n, trials, seed)

@@ -89,7 +89,7 @@ def _gen_name(i, l):
     return f"x{i}_" + "_".join(f"m{-v}" if v < 0 else str(v) for v in l)
 
 
-def _phi_series(key: PhiKey, degree, pairs, window, max_doublings=6):
+def _phi_series(key: PhiKey, degree, pairs, window):
     """Instrumented evaluation over the slots in ``pairs`` (slot, exponent)."""
     pairs = sorted(pairs)
     ring = ring_new(RingSpec("Q",
@@ -102,7 +102,7 @@ def _phi_series(key: PhiKey, degree, pairs, window, max_doublings=6):
         terms += [(l, ring.gen(_gen_name(slot, l))) for slot, l in pairs if slot == i]
         entries.append(from_terms(ring, n, terms))
     entries += [t_var(ring, n, j) for j in key.js]
-    value = cc(entries, max_doublings=max_doublings)
+    value = cc(entries)
 
     by_gen = {idx: (i, l) for idx, (i, l) in enumerate(pairs)}
     coeffs = {}
@@ -117,8 +117,7 @@ def _phi_series(key: PhiKey, degree, pairs, window, max_doublings=6):
     return UniversalSeries(key, degree, window, coeffs)
 
 
-def phi_coefficients(key: PhiKey, degree: int, window: Window,
-                     max_doublings=6) -> UniversalSeries:
+def phi_coefficients(key: PhiKey, degree: int, window: Window) -> UniversalSeries:
     """All coefficients of total degree <= ``degree`` over the exponent box."""
     if degree < 1:
         raise ParseError("degree bound must be >= 1")
@@ -128,7 +127,7 @@ def phi_coefficients(key: PhiKey, degree: int, window: Window,
     for lo_j, hi_j in zip(window.lo, window.hi):
         box = [l + (v,) for l in box for v in range(lo_j, hi_j + 1)]
     pairs = [(i, l) for i in range(1, key.p + 1) for l in box]
-    return _phi_series(key, degree, pairs, window, max_doublings)
+    return _phi_series(key, degree, pairs, window)
 
 
 def check_integrality(series: UniversalSeries):
@@ -157,7 +156,7 @@ def check_weight_zero(series: UniversalSeries):
 _PHI_CACHE = {}
 
 
-def evaluate_phi(key: PhiKey, gs, max_doublings=6):
+def evaluate_phi(key: PhiKey, gs):
     """CC_n(1+g_1, ..., 1+g_p, t_{j_1}, ...) through the universal series.
 
     Every ``g_i`` must be an exact Laurent polynomial with nilpotent
@@ -179,7 +178,7 @@ def evaluate_phi(key: PhiKey, gs, max_doublings=6):
     pairs = tuple(sorted((i + 1, l) for i, g in enumerate(gs) for l in g.terms))
     cache_key = (key, degree, pairs)
     if cache_key not in _PHI_CACHE:
-        _PHI_CACHE[cache_key] = _phi_series(key, degree, pairs, None, max_doublings)
+        _PHI_CACHE[cache_key] = _phi_series(key, degree, pairs, None)
     series = _PHI_CACHE[cache_key]
 
     value = ring.one()

@@ -22,8 +22,8 @@ from .errors import (
     ParseError,
     UnsupportedRingError,
 )
-from .forms import DiffForm, dlog, wedge
-from .laurent import LaurentElt, monomial, stable_coefficient, zero
+from .forms import Dlog, certified_residues
+from .laurent import LaurentElt, monomial
 
 __all__ = [
     "IndexSet", "WittVector", "GhostVector", "ghost", "ghost_to_coords",
@@ -136,19 +136,23 @@ def ghost_to_coords(g: GhostVector):
     return WittVector(g.S, coords), integral
 
 
+def _integral_coords(S, ghosts, what, strict=True):
+    """Witt coordinates of ghost coordinates that ``what`` must keep integral."""
+    try:
+        out, integral = ghost_to_coords(GhostVector(S, ghosts))
+    except InexactDivisionError as exc:
+        raise InternalConsistencyError(
+            f"{what} produced a non-integral coordinate: {exc.detail}") from exc
+    if strict and not integral:
+        raise InternalConsistencyError(f"{what} produced a non-integral coordinate")
+    return out
+
+
 def witt_add(w: WittVector, v: WittVector) -> WittVector:
     if w.S != v.S:
         raise ParseError("index sets differ")
     ga, gb = ghost(w), ghost(v)
-    total = GhostVector(w.S, {i: ga.ghost[i] + gb.ghost[i] for i in w.S})
-    try:
-        out, integral = ghost_to_coords(total)
-    except InexactDivisionError as exc:
-        raise InternalConsistencyError(
-            f"Witt addition produced a non-integral coordinate: {exc.detail}") from exc
-    if not integral:
-        raise InternalConsistencyError("Witt addition produced a non-integral coordinate")
-    return out
+    return _integral_coords(w.S, {i: ga.ghost[i] + gb.ghost[i] for i in w.S}, "Witt addition")
 
 
 def witt_add_rational(w: WittVector, v: WittVector) -> WittVector:
@@ -162,14 +166,7 @@ def witt_add_rational(w: WittVector, v: WittVector) -> WittVector:
 
 def witt_neg(w: WittVector) -> WittVector:
     g = ghost(w)
-    try:
-        out, integral = ghost_to_coords(GhostVector(w.S, {i: -g.ghost[i] for i in w.S}))
-    except InexactDivisionError as exc:
-        raise InternalConsistencyError(
-            f"Witt negation produced a non-integral coordinate: {exc.detail}") from exc
-    if not integral:
-        raise InternalConsistencyError("Witt negation produced a non-integral coordinate")
-    return out
+    return _integral_coords(w.S, {i: -g.ghost[i] for i in w.S}, "Witt negation")
 
 
 def project(w: WittVector, sub: IndexSet) -> WittVector:
@@ -197,13 +194,14 @@ def upsilon(w: WittVector, degree_bound=None) -> LaurentElt:
     return out
 
 
-def witt_pair(fs, g: WittVector, max_doublings=6):
+def witt_pair(fs, g: WittVector):
     """The pairing (f_1, ..., f_n | g] as a Witt vector over the coefficients.
 
     ``g`` has iterated-Laurent-series coordinates over the same ring as the
-    ``f_i``.  Ghost coordinates of the result are residues; passage back to
-    Witt coordinates must be integral over integral bases (lifting through
-    the integers for modular ones), anything else is an internal fault.
+    ``f_i``.  Ghost coordinates of the result are residues, read in one batch
+    that expands each ``dlog f_i`` once; passage back to Witt coordinates
+    must be integral over integral bases (lifting through the integers for
+    modular ones), anything else is an internal fault.
     """
     fs = list(fs)
     if not fs:
@@ -216,27 +214,10 @@ def witt_pair(fs, g: WittVector, max_doublings=6):
         fs_l = [f.map_coefficients(lifted_ring, lift) for f in fs]
         g_l = WittVector(g.S, {i: v.map_coefficients(lifted_ring, lift)
                                for i, v in g.coords.items()})
-        out = witt_pair(fs_l, g_l, max_doublings)
+        out = witt_pair(fs_l, g_l)
         return WittVector(out.S, {i: drop(v) for i, v in out.coords.items()})
 
     gg = ghost(g)
-    residues = {}
-    for i in g.S:
-        series = gg.ghost[i]
-
-        def build(window, series=series):
-            form = DiffForm.from_series(series)
-            for f in fs:
-                form = wedge(form, dlog(f, window))
-            top = form.comps.get(tuple(range(1, n + 1)))
-            return top if top is not None else zero(ring, n)
-
-        residues[i] = stable_coefficient(build, (-1,) * n, max_doublings=max_doublings)
-    try:
-        out, integral = ghost_to_coords(GhostVector(g.S, residues))
-    except InexactDivisionError as exc:
-        raise InternalConsistencyError(
-            f"Witt pairing produced a non-integral coordinate: {exc.detail}") from exc
-    if ring.base != "Q" and not integral:
-        raise InternalConsistencyError("Witt pairing produced a non-integral coordinate")
-    return out
+    slots = [Dlog(f) for f in fs]
+    residues = dict(zip(g.S, certified_residues([(gg.ghost[i], slots) for i in g.S])))
+    return _integral_coords(g.S, residues, "Witt pairing", strict=ring.base != "Q")

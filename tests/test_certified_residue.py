@@ -1,0 +1,142 @@
+"""certified_residue: one evaluation, up to the ceiling the residue needs."""
+
+import random
+
+import pytest
+
+from ccsym import laurent
+from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
+from ccsym.coeff import RingSpec, ring_new
+from ccsym.errors import ParseError, StabilityExhaustedError
+from ccsym.forms import DiffForm, Dlog, Log, certified_residue, certified_residues, dlog, wedge
+from ccsym.laurent import Window, from_terms, log_sharp, one, stable_coefficient, t_var, zero
+from ccsym.symbol import cc
+from ccsym.witt import IndexSet, WittVector, ghost, witt_pair
+
+
+def _build(g, fs):
+    """The caller-supplied build of the stability protocol: g ^ dlog f_1 ^ ..."""
+    n = len(fs)
+
+    def build(window):
+        form = DiffForm.from_series(g)
+        for f in fs:
+            form = wedge(form, dlog(f, window))
+        top = form.comps.get(tuple(range(1, n + 1)))
+        return top if top is not None else zero(g.ring, n)
+
+    return build
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matches_stable_coefficient_on_suite_streams(n):
+    tower = default_ring()
+    witt_ring = ring_new(RingSpec("Q", nil=(("e1", 2),)))
+    rng = random.Random(2300 + n)
+    cases = []
+    for _ in range(6):
+        fs = [random_invertible_series(rng, tower, n) for _ in range(n)]
+        cases.append((one(tower, n), fs))  # residue_det
+        g = random_laurent_poly(rng, tower, n)
+        cases.append((g, [random_invertible_series(rng, tower, n) for _ in range(n)]))  # eps
+    for _ in range(3):
+        fs = [random_invertible_series(rng, witt_ring, n) for _ in range(n)]
+        S = IndexSet.closure(range(1, 5))
+        w = WittVector(S, {i: random_laurent_poly(rng, witt_ring, n, bound=1) for i in S})
+        cases += [(gi, fs) for gi in ghost(w).ghost.values()]  # witt ghost residues
+    for g, fs in cases:
+        expected = stable_coefficient(_build(g, fs), (-1,) * n)
+        assert certified_residue(g, [Dlog(f) for f in fs]) == expected, (str(g), fs)
+
+
+def test_log_factor_matches_hand_expansion(Qe):
+    # res(log(1 + e t^-1) dlog(1 + t)) = e, as in the forms tests
+    e = Qe.gen("e")
+    s = from_terms(Qe, 1, [((0,), 1), ((-1,), e)])
+    f = from_terms(Qe, 1, [((0,), 1), ((1,), 1)])
+    assert certified_residue(Log(s), [Dlog(f)]) == e
+    assert certified_residue(log_sharp(s), [Dlog(f)]) == e
+
+
+def _trial_46():
+    """The inputs of trial 46 of the multilinear suite, n = 2, seed 2026."""
+    ring = default_ring()
+    rng = random.Random(2026)
+    for _ in range(47):
+        f = random_invertible_series(rng, ring, 2)
+        g = random_invertible_series(rng, ring, 2)
+        rest = [random_invertible_series(rng, ring, 2) for _ in range(2)]
+    return [[f * g] + rest, [f] + rest, [g] + rest]
+
+
+def test_trial_46_keeps_value_and_trace():
+    expected = [
+        ("4*e2^2 + 4*e2^1 + 1", ["monomial: (-1)^0", "constant slot 2: (2*e2^1 + 1)^2"]),
+        ("2*e2^1 + 1", ["monomial: (-1)^0", "constant slot 2: (2*e2^1 + 1)^1"]),
+        ("2*e2^1 + 1", ["monomial: (-1)^0", "constant slot 2: (2*e2^1 + 1)^1"]),
+    ]
+    for entries, (value, trace) in zip(_trial_46(), expected):
+        got, got_trace = cc(entries, want_trace=True)
+        assert (str(got), got_trace) == (value, trace)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Every call of laurent._expand_series, as (generator, first coefficients)."""
+    calls = []
+    real = laurent._expand_series
+
+    def counted(g, coeff_at, *args, **kw):
+        calls.append((str(g), tuple(coeff_at(i) for i in range(1, 3))))
+        return real(g, coeff_at, *args, **kw)
+
+    monkeypatch.setattr(laurent, "_expand_series", counted)
+    return calls
+
+
+def test_each_log_and_inverse_is_expanded_once_per_cc(expansions):
+    tower = default_ring()
+    rng = random.Random(2026)
+    tuples = _trial_46()
+    for _ in range(12):
+        tuples.append([random_invertible_series(rng, tower, 2) for _ in range(3)])
+    most = 0
+    for entries in tuples:
+        expansions.clear()
+        cc(entries)
+        assert len(expansions) == len(set(expansions)), expansions
+        most = max(most, len(expansions))
+    assert most >= 3
+
+
+def test_witt_coordinate_window_too_low_raises(Qe, expansions):
+    S = IndexSet((1, 2))
+    f = from_terms(Qe, 1, [((1,), 1), ((2,), 1)])  # t + t^2: dlog needs an inverse
+    low = Window((-1,), (-1,))  # the residue reads g_1 at t^0
+    g = WittVector(S, {1: from_terms(Qe, 1, [((0,), 3), ((1,), 1)], low),
+                       2: from_terms(Qe, 1, [((0,), Qe.gen("e"))], low)})
+    with pytest.raises(StabilityExhaustedError):
+        witt_pair([f], g)
+    assert expansions == []  # refused before anything was expanded
+    # the same coordinates certified far enough pair to a value
+    high = Window((0,), (4,))
+    g = WittVector(S, {1: from_terms(Qe, 1, [((0,), 3), ((1,), 1)], high),
+                       2: from_terms(Qe, 1, [((0,), Qe.gen("e"))], high)})
+    exact = WittVector(S, {1: from_terms(Qe, 1, [((0,), 3), ((1,), 1)]),
+                           2: from_terms(Qe, 1, [((0,), Qe.gen("e"))])})
+    assert witt_pair([f], g) == witt_pair([f], exact)
+
+
+def test_windowed_zero_form_below_target_raises(Q):
+    g = from_terms(Q, 2, [((0, -1), 1)], Window((-1, -1), (0, -1)))
+    with pytest.raises(StabilityExhaustedError):
+        certified_residue(g, [Dlog(t_var(Q, 2, 1)), Dlog(t_var(Q, 2, 2))])
+
+
+def test_factor_degrees_are_checked(Q):
+    t = t_var(Q, 1, 1)
+    g = one(Q, 1)
+    with pytest.raises(ParseError):
+        certified_residue(Dlog(t), [Dlog(t)])
+    with pytest.raises(ParseError):  # one object, once a 0-form and once a 1-form
+        certified_residues([(g, [Dlog(t)]), (one(Q, 1), [g])])

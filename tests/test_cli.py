@@ -111,6 +111,23 @@ def test_error_exit_codes():
     assert code == 2 and out["error"]["kind"] == "StabilityExhausted"
 
 
+def test_negative_generator_exponent_is_a_parse_error():
+    code, out = run_cli({"command": "cc", "ring": {"base": "Q", "free": ["u"]}, "n": 1,
+                         "tuple": [series(1, [((0,), "u^-1")]), series(1, [((1,), "1")])]})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_large_prime_modulus_ends_fast_with_unsupported_ring():
+    doc = {"command": "cc", "ring": {"base": {"mod": 10 ** 12 + 39}}, "n": 1,
+           "tuple": [series(1, [((0,), "1"), ((1,), "1")]),
+                     series(1, [((0,), "1"), ((-1,), "1")])]}
+    code, out = run_cli(doc)
+    assert code == 2 and out["error"]["kind"] == "UnsupportedRing"
+    doc["ring"] = {"base": {"mod": 2 ** 89 - 1}}
+    code, out = run_cli(doc)
+    assert code == 2 and out["error"]["kind"] == "UnsupportedRing"
+
+
 def test_emitted_values_reparse():
     ring_doc = {"base": "Q", "nil": [["e", 2]]}
     f = series(1, [((-1,), "e"), ((0,), "1*e^1 + 1"), ((1,), "1")])

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ccsym.coeff import RingSpec, arith, coef_exp, coef_log, nil_index, ring_new
+from ccsym.coeff import RingSpec, _prime_power, ring_new
 from ccsym.errors import (
     InexactDivisionError,
     NotInvertibleError,
+    ParseError,
     RingMismatchError,
     UnsupportedRingError,
 )
@@ -31,9 +32,9 @@ def test_ring_new_rejects_bad_specs():
 
 def test_arith_examples(Qe):
     e = Qe.gen("e")
-    assert arith("mul", e, e).is_zero()
+    assert (e * e).is_zero()
     Q = ring_new(RingSpec("Q"))
-    assert arith("add", Q.from_scalar(Fraction(1, 2)), Q.from_scalar(Fraction(1, 3))) \
+    assert Q.from_scalar(Fraction(1, 2)) + Q.from_scalar(Fraction(1, 3)) \
         == Q.from_scalar(Fraction(5, 6))
     # eta^2 * eta^n = 0 for n = 1 in Z[eta]/(eta^{n+2})
     zeta = ring_new(RingSpec("Z", nil=(("h", 3),)))
@@ -81,14 +82,14 @@ def test_free_generators_not_invertible():
 
 
 def test_nil_index_examples():
-    assert nil_index(ring_new(RingSpec("Q", nil=(("e", 2),)))) == 2
-    assert nil_index(ring_new(RingSpec("Q"))) == 1
+    assert ring_new(RingSpec("Q", nil=(("e", 2),))).nil_index == 2
+    assert ring_new(RingSpec("Q")).nil_index == 1
     r = ring_new(RingSpec("Z", nil=(("e1", 2), ("e2", 3))))
-    assert nil_index(r) == 4
+    assert r.nil_index == 4
     # direct expansion: Nil^3 contains e1*e2^2 != 0, Nil^4 = 0
     x = r.gen("e1") * r.gen("e2") ** 2
     assert x and (x * r.gen("e1")).is_zero() and (x * r.gen("e2")).is_zero()
-    assert nil_index(ring_new(RingSpec(8))) == 3  # 2^3: p-contribution e-1 = 2
+    assert ring_new(RingSpec(8)).nil_index == 3  # 2^3: p-contribution e-1 = 2
 
 
 def test_nilpotent_power_vanishes_at_index(tower):
@@ -103,15 +104,15 @@ def test_nilpotent_power_vanishes_at_index(tower):
 
 def test_exp_log_examples(Qe):
     e = Qe.gen("e")
-    assert coef_exp(Qe.zero()) == Qe.one()
-    assert coef_exp(e) == Qe.one() + e
+    assert Qe.zero().exp() == Qe.one()
+    assert e.exp() == Qe.one() + e
     r = ring_new(RingSpec("Q", nil=(("e1", 3), ("e2", 3))))
     x = r.gen("e1") + r.gen("e2")
-    assert coef_log(coef_exp(x)) == x
+    assert x.exp().log() == x
     with pytest.raises(NotInvertibleError):
-        coef_exp(Qe.one())
+        Qe.one().exp()
     with pytest.raises(UnsupportedRingError):
-        coef_exp(ring_new(RingSpec("Z", nil=(("e", 2),))).gen("e"))
+        ring_new(RingSpec("Z", nil=(("e", 2),))).gen("e").exp()
 
 
 def test_exp_log_mutually_inverse_random(tower):
@@ -120,8 +121,8 @@ def test_exp_log_mutually_inverse_random(tower):
         x = tower.zero()
         for name, _ in tower.spec.nil:
             x = x + tower.gen(name) * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert coef_log(coef_exp(x)) == x
-        assert coef_exp(coef_log(tower.one() + x)) == tower.one() + x
+        assert x.exp().log() == x
+        assert (tower.one() + x).log().exp() == tower.one() + x
 
 
 def _random_elt(rng, ring):
@@ -214,3 +215,56 @@ def test_extended_and_rationalized(Ze):
     lifted, lift, drop = ring_new(RingSpec(4)).integer_lift()
     assert drop(lift(ring_new(RingSpec(4)).from_scalar(3)) * 3) == \
         ring_new(RingSpec(4)).from_scalar(1)
+
+
+def _smallest_factors(limit):
+    spf = list(range(limit))
+    for p in range(2, int(limit ** 0.5) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
+
+
+def test_prime_power_matches_trial_division():
+    limit = 10 ** 5
+    spf = _smallest_factors(limit)
+    for m in range(2, limit):
+        p, e, rest = spf[m], 0, m
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        assert _prime_power(m) == ((p, e) if rest == 1 else None), m
+
+
+def test_prime_power_large_moduli():
+    assert _prime_power(10 ** 12 + 39) == (10 ** 12 + 39, 1)
+    assert _prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert _prime_power((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+    assert _prime_power(3 ** 50) == (3, 50)
+    assert _prime_power((10 ** 6 + 3) * (10 ** 6 + 33)) is None
+    assert _prime_power((2 ** 31 - 1) * (10 ** 9 + 7)) is None
+    with pytest.raises(UnsupportedRingError):
+        ring_new(RingSpec(2 ** 89 - 1))
+    with pytest.raises(UnsupportedRingError):  # a strong pseudoprime to all 13 bases
+        ring_new(RingSpec(1287836182261 * 2575672364521))
+
+
+def test_modular_nilpotence_matches_radical():
+    for m in range(2, 200):
+        ring = ring_new(RingSpec(m))
+        rad = 1
+        for q in range(2, m + 1):
+            if m % q == 0 and all(q % r for r in range(2, q)):
+                rad *= q
+        for s in range(m):
+            assert ring.scalar_is_nilpotent(s) == (s % rad == 0), (m, s)
+
+
+def test_parse_rejects_negative_exponent():
+    ring = ring_new(RingSpec("Q", free=("u",), nil=(("e", 2),)))
+    for text in ("u^-1", "2*u^-2", "1 + e^-1"):
+        with pytest.raises(ParseError):
+            ring.parse_coef(text)
+    assert ring.parse_coef("u^0") == ring.one()
