@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from .coeff import RingSpec, ring_new
+from .coeff import RingSpec, json_int, ring_new
 from .errors import EngineError, ParseError
 from .forms import form_from_json, res
-from .laurent import Window, decompose, series_from_json
+from .laurent import Window, decompose, series_from_json, window_from_json
 from .symbol import additive_symbol, cc, tame_symbol
 from .universal import PhiKey, check_integrality, check_weight_zero, phi_coefficients
 from .witt import IndexSet, WittVector, ghost, witt_pair
@@ -32,44 +32,44 @@ def _series_list(ring, docs):
     return [series_from_json(ring, doc) for doc in docs]
 
 
-def _cmd_cc(doc, args):
+def _cmd_cc(doc):
     ring = _ring_from(doc)
     entries = _series_list(ring, doc["tuple"])
     value, trace = cc(entries, want_trace=True)
     return {"value": str(value), "branch_trace": trace}
 
 
-def _cmd_nu(doc, args):
+def _cmd_nu(doc):
     ring = _ring_from(doc)
     entries = _series_list(ring, doc["tuple"])
     return {"value": additive_symbol(entries)}
 
 
-def _cmd_res(doc, args):
+def _cmd_res(doc):
     ring = _ring_from(doc)
-    n = int(doc["n"])
+    n = json_int(doc["n"])
     form = form_from_json(ring, n, doc["form"])
     return {"value": str(res(form))}
 
 
-def _cmd_decompose(doc, args):
+def _cmd_decompose(doc):
     ring = _ring_from(doc)
     f = series_from_json(ring, doc["series"])
     dec = decompose(f)
     return dec.to_json()
 
 
-def _cmd_tame(doc, args):
+def _cmd_tame(doc):
     ring = _ring_from(doc)
     f, g = _series_list(ring, doc["tuple"])
     return {"value": str(tame_symbol(f, g))}
 
 
-def _cmd_witt_pair(doc, args):
+def _cmd_witt_pair(doc):
     ring = _ring_from(doc)
     fs = _series_list(ring, doc["f"])
-    index_set = IndexSet(tuple(sorted(int(i) for i in doc["S"])))
-    coords = {int(i): series_from_json(ring, s) for i, s in doc["g"]["coords"].items()}
+    index_set = IndexSet(tuple(sorted(json_int(i) for i in doc["S"])))
+    coords = {json_int(i): series_from_json(ring, s) for i, s in doc["g"]["coords"].items()}
     vector = WittVector(index_set, coords)
     out = witt_pair(fs, vector)
     ghosts = ghost(out)
@@ -81,34 +81,31 @@ def _cmd_witt_pair(doc, args):
             "integral": integral}
 
 
-def _cmd_phi(doc, args):
-    n = int(doc["n"])
-    key = PhiKey(n, tuple(int(j) for j in doc.get("j", range(1, n + 1))))
-    degree = int(doc.get("degree", args.degree or 4))
+def _cmd_phi(doc):
+    n = json_int(doc["n"])
+    key = PhiKey(n, tuple(json_int(j) for j in doc.get("j", range(1, n + 1))))
+    degree = json_int(doc.get("degree", 4))
     win = doc.get("window")
-    if win is None:
-        window = Window.cube(n, 3)
-    else:
-        window = Window(tuple(int(x) for x in win["lo"]), tuple(int(x) for x in win["hi"]))
+    window = Window.cube(n, 3) if win is None else window_from_json(win)
     series = phi_coefficients(key, degree, window)
     return {"coefficients": series.to_json(),
             "integral": check_integrality(series)["integral"],
             "weight_zero": check_weight_zero(series)["weight_zero"]}
 
 
-def _cmd_check(doc, args):
+def _cmd_check(doc):
     name = doc.get("suite")
     if name not in SUITES:
         raise ParseError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    seed = int(doc.get("seed", args.seed or 0))
-    trials = int(doc.get("trials", args.trials or 20))
-    n = int(doc.get("n", 1))
+    seed = json_int(doc.get("seed", 0))
+    trials = json_int(doc.get("trials", 20))
+    n = json_int(doc.get("n", 1))
     if name == "phi_integrality":
-        report = SUITES[name](n=n, degree=int(doc.get("degree", args.degree or 4)),
-                              radius=int(doc.get("radius", 3)))
+        report = SUITES[name](n=n, degree=json_int(doc.get("degree", 4)),
+                              radius=json_int(doc.get("radius", 3)))
     elif name == "sgn_agreement":
-        report = SUITES[name](n=n, bound=int(doc.get("bound", 3)),
-                              samples=int(doc.get("samples", 10000)), seed=seed)
+        report = SUITES[name](n=n, bound=json_int(doc.get("bound", 3)),
+                              samples=json_int(doc.get("samples", 10000)), seed=seed)
     else:
         ring = _ring_from(doc) if "ring" in doc else default_ring()
         report = SUITES[name](ring, n=n, trials=trials, seed=seed)
@@ -138,9 +135,6 @@ def main(argv=None):
         prog="ccsym",
         description="exact higher Contou-Carrere symbols, residues and Witt pairings")
     parser.add_argument("--file", help="read the JSON request from a file instead of stdin")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--json-pretty", action="store_true")
     args = parser.parse_args(argv)
 
@@ -157,7 +151,7 @@ def main(argv=None):
         return 1
 
     try:
-        result = handler(doc, args)
+        result = handler(doc)
     except (EngineError, KeyError, TypeError, ValueError) as exc:
         # malformed fields read as parse errors (exit 1), domain errors exit 2
         engine = isinstance(exc, EngineError)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .errors import (
     InexactDivisionError,
+    InternalConsistencyError,
     NotInvertibleError,
     ParseError,
     RingMismatchError,
@@ -59,13 +60,24 @@ class RingSpec:
         try:
             base = doc.get("base", "Q")
             if isinstance(base, dict):
-                base = int(base["mod"])
+                base = base["mod"]
+            if base not in ("Q", "Z"):
+                base = json_int(base)
             free = tuple(doc.get("free", ()))
-            nil = tuple((str(n), int(d)) for n, d in doc.get("nil", ()))
+            nil = tuple((str(n), json_int(d)) for n, d in doc.get("nil", ()))
             cap = doc.get("nil_total_cap")
+            cap = None if cap is None else json_int(cap)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad ring spec: {exc}") from exc
         return RingSpec(base=base, free=free, nil=nil, nil_total_cap=cap)
+
+
+def json_int(value):
+    """``int(value)`` for a request field, refusing what ``int`` would truncate:
+    a JSON boolean or a non-integral number is a ``ParseError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -152,9 +164,12 @@ class Ring:
         if self.nil_total_cap is not None:
             max_nildeg = min(max_nildeg, self.nil_total_cap)
         self._max_nildeg = max_nildeg
+        # a nilpotent element dies at the power nil_index: nil degrees past the
+        # cap vanish, and a nilpotent scalar mod m dies at the largest exponent
+        # of a prime in m (at most log2(m) when m is no prime power)
         k = 1 + max_nildeg
-        if self.base == "mod" and self.mod_prime_power is not None:
-            k += self.mod_prime_power[1] - 1
+        if self.base == "mod":
+            k += (self.mod_prime_power or (0, self.modulus.bit_length() - 1))[1] - 1
         self.nil_index = k
 
     # -- scalar layer -------------------------------------------------------
@@ -455,27 +470,21 @@ class Coef:
             return NotImplemented
         ring = self.ring
         cap = ring._max_nildeg
+        mine = {}
+        for e, s in self.terms.items():
+            mine.setdefault(ring._nildeg(e), []).append((e, s))
+        theirs = {}
+        for e, s in other.terms.items():
+            theirs.setdefault(ring._nildeg(e), []).append((e, s))
         out = {}
-        if ring.nil_orders:
-            mine = {}
-            for e, s in self.terms.items():
-                mine.setdefault(ring._nildeg(e), []).append((e, s))
-            theirs = {}
-            for e, s in other.terms.items():
-                theirs.setdefault(ring._nildeg(e), []).append((e, s))
-            for da, aterms in mine.items():
-                for db, bterms in theirs.items():
-                    if da + db > cap:
-                        continue
-                    for ea, sa in aterms:
-                        for eb, sb in bterms:
-                            key = tuple(x + y for x, y in zip(ea, eb))
-                            out[key] = out.get(key, 0) + sa * sb
-        else:
-            for ea, sa in self.terms.items():
-                for eb, sb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    out[key] = out.get(key, 0) + sa * sb
+        for da, aterms in mine.items():
+            for db, bterms in theirs.items():
+                if da + db > cap:
+                    continue
+                for ea, sa in aterms:
+                    for eb, sb in bterms:
+                        key = tuple(x + y for x, y in zip(ea, eb))
+                        out[key] = out.get(key, 0) + sa * sb
         return ring.make(out)
 
     __rmul__ = __mul__
@@ -540,53 +549,25 @@ class Coef:
     def inverse(self):
         if not self.is_invertible():
             raise NotInvertibleError(f"{self} is not invertible")
-        ring = self.ring
-        a0 = self.constant_scalar()
-        inv0 = ring.scalar_inverse(a0)
-        w = ring.one() - self * inv0
-        acc = ring.one()
-        p = w
-        for _ in range(ring.nil_index + 1):
-            if not p:
-                break
-            acc = acc + p
-            p = p * w
-        return acc * inv0
+        inv0 = self.ring.scalar_inverse(self.constant_scalar())
+        return _nil_series(self.ring.one() - self * inv0, lambda i: 1) * inv0
 
     # -- exp / log -----------------------------------------------------------
 
     def exp(self):
-        ring = self.ring
-        if not ring.has_rationals():
+        if not self.ring.has_rationals():
             raise UnsupportedRingError("exp needs a ring containing the rationals")
         if not self.is_nilpotent():
             raise NotInvertibleError("exp needs a nilpotent argument")
-        acc = ring.one()
-        p = ring.one()
-        i = 1
-        while True:
-            p = p * self * Fraction(1, i)
-            if not p:
-                return acc
-            acc = acc + p
-            i += 1
+        return _nil_series(self, lambda i: Fraction(1, math.factorial(i)))
 
     def log(self):
-        ring = self.ring
-        if not ring.has_rationals():
+        if not self.ring.has_rationals():
             raise UnsupportedRingError("log needs a ring containing the rationals")
-        w = self - ring.one()
+        w = self - self.ring.one()
         if not w.is_nilpotent():
             raise NotInvertibleError("log needs an argument of the form 1 + nilpotent")
-        acc = ring.zero()
-        p = ring.one()
-        i = 1
-        while True:
-            p = p * w
-            if not p:
-                return acc
-            acc = acc + p * Fraction((-1) ** (i + 1), i)
-            i += 1
+        return _nil_series(w, lambda i: Fraction((-1) ** (i + 1), i) if i else 0)
 
     def divide_by_int(self, k):
         """Return (self / k, integral) where ``integral`` records exactness
@@ -622,3 +603,24 @@ class Coef:
 
     __repr__ = __str__
 
+
+def _nil_series(w, coef_at):
+    """``sum coef_at(i) * w^i`` for a nilpotent ``w`` and base scalars ``coef_at(i)``.
+
+    Every nilpotent element dies at the power ``nil_index``, so the sum has
+    fewer terms than that; a ``w`` still alive there is an internal fault.
+    Unit coefficients cost no product.
+    """
+    ring = w.ring
+    acc = ring.from_scalar(coef_at(0))
+    p = w
+    for i in range(1, ring.nil_index):
+        if not p:
+            return acc
+        c = coef_at(i)
+        acc = acc + (p if c == 1 else p * c)
+        p = p * w
+    if p:
+        raise InternalConsistencyError(
+            f"{w} survives the power {ring.nil_index}, the nil index of {ring}")
+    return acc

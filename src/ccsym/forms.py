@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .coeff import Ring
+from .coeff import Ring, json_int
 from .errors import ParseError, RingMismatchError, StabilityExhaustedError
 from .laurent import (
     LaurentElt,
@@ -363,10 +363,10 @@ def certified_residue(g, slots):
 
 def form_from_json(ring: Ring, n: int, doc) -> DiffForm:
     try:
-        degree = int(doc["degree"])
+        degree = json_int(doc["degree"])
         comps = {}
         for item in doc.get("components", []):
-            idx = tuple(int(i) for i in item["dt"])
+            idx = tuple(json_int(i) for i in item["dt"])
             if list(idx) != sorted(set(idx)) or any(not 1 <= i <= n for i in idx):
                 raise ParseError(f"bad basis tuple {idx}")
             if len(idx) != degree:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coef, Ring
+from .coeff import Coef, Ring, json_int
 from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
@@ -221,8 +221,7 @@ class LaurentElt:
         hi = _combine_hi_mul(self, other)
         fa, fb = self._floor(), other._floor()
         floor = None if (fa is None or fb is None or hi is None) else _add_idx(fa, fb)
-        raw = _mul_terms(self.terms, other.terms, hi)
-        return LaurentElt._make(self.ring, self.n, raw, hi, floor)
+        return LaurentElt(self.ring, self.n, _mul_terms(self.terms, other.terms, hi), hi, floor)
 
     __rmul__ = __mul__
 
@@ -357,19 +356,20 @@ def _combine_hi_mul(a, b):
     return hi
 
 
-def _mul_terms(a, b, hi):
+def _mul_terms(a, b, hi, lo=None):
+    """Product of term dicts on the box ``lo <= l <= hi`` (``None``: open side), zeros dropped."""
     out = {}
     for la, ca in a.items():
         for lb, cb in b.items():
             l = _add_idx(la, lb)
-            if hi is not None and not _le_idx(l, hi):
+            if (hi is not None and not _le_idx(l, hi)) or (lo is not None and not _le_idx(lo, l)):
                 continue
             c = ca * cb
             if not c:
                 continue
             cur = out.get(l)
             out[l] = c if cur is None else cur + c
-    return out
+    return {l: c for l, c in out.items() if c}
 
 
 def product_coefficient(a: LaurentElt, b: LaurentElt, l):
@@ -499,25 +499,27 @@ def _divide_neg_defect(d: LaurentElt, q: LaurentElt):
     that keeps climbing below zero past the step cap signals a lex-negative
     factor with no polynomial description.
     """
-    ring, n = d.ring, d.n
-    p_nonneg = q - neg_part(q)
-    c_q = p_nonneg.constant_coefficient()
-    inv_cq = c_q.inverse()
+    # the constant term of nonneg(q) clears r[lam] exactly; the others are lex-positive
+    p_pos = [(l, c) for l, c in q.terms.items() if lex_positive(l)]
+    inv_cq = q.constant_coefficient().inverse()
     delta = {}
-    r = d
+    r = dict(d.terms)
     for _ in range(_DIVISION_CAP):
-        if not r.terms:
+        lam = min(r, key=lex_key, default=None)
+        if lam is None or not lex_negative(lam):
             break
-        lam = min(r.terms, key=lex_key)
-        if not lex_negative(lam):
-            break
-        coef = r.terms[lam] * inv_cq
-        delta[lam] = coef
-        r = r - monomial(ring, n, lam, coef) * p_nonneg
+        coef = delta[lam] = r.pop(lam) * inv_cq
+        for l, c in p_pos:
+            m = _add_idx(lam, l)
+            v = r.get(m, 0) - coef * c
+            if v:
+                r[m] = v
+            else:
+                r.pop(m, None)
     else:
         raise StabilityExhaustedError(
             "the lex-negative unit factor admits no polynomial description")
-    return LaurentElt._make(ring, n, delta)
+    return LaurentElt._make(d.ring, d.n, delta)
 
 
 def decompose(f: LaurentElt) -> UnitDecomposition:
@@ -630,75 +632,52 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     n = g.n
     unit_idx, nil_idx, work_lo = _generator_parts(g)
     if g.hi is not None:
-        hi = g.hi if hi is None else tuple(min(a, b) for a, b in zip(hi, g.hi))
+        hi = g.hi if hi is None else _min_idx(hi, g.hi)
     a_budget = ring.nil_index - 1
+    exact = not unit_idx and g.hi is None
+    if exact:
+        budget, work_lo, work_hi = a_budget, None, None
+    elif hi is None:
+        raise StabilityExhaustedError("infinite expansion requires a window")
+    else:
+        posnil = tuple(max((max(0, l[j]) for l in nil_idx), default=0) for j in range(n))
+        posu = tuple(max((l[j] for l in unit_idx), default=0) for j in range(n))
+        b_budget = max(0, sum(hi) - sum(work_lo))
+        budget = b_budget + a_budget
+        work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j], hi[j] - work_lo[j])
+                        for j in range(n))
+    clipped = max_degree is not None and max_degree < budget
+    if clipped:
+        budget = max_degree
+    if not exact and budget > _EXPANSION_SANITY:
+        raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
 
     def scalar_at(i):
         c = coeff_at(i)
         return c if isinstance(c, Coef) else ring.from_scalar(c)
 
-    if not unit_idx and g.hi is None:
-        budget = a_budget
-        if max_degree is not None and max_degree < budget:
-            budget = max_degree
-        acc = one(ring, n) * scalar_at(0)
-        p = one(ring, n)
-        for i in range(1, budget + 1):
-            p = p * g
-            if not p.terms:
-                break
-            acc = acc + p * scalar_at(i)
-        else:
-            p = p * g
-            if p.terms:
-                raise StabilityExhaustedError(
-                    "series coefficients exhausted before the expansion terminated")
-        return acc
-
-    if hi is None:
-        raise StabilityExhaustedError("infinite expansion requires a window")
-
-    posnil = tuple(max((max(0, l[j]) for l in nil_idx), default=0) for j in range(n))
-    posu = tuple(max((l[j] for l in unit_idx), default=0) for j in range(n))
-    b_budget = max(0, sum(hi) - sum(work_lo))
-    budget = b_budget + a_budget
-    clipped = max_degree is not None and max_degree < budget
-    if clipped:
-        budget = max_degree
-    work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j], hi[j] - work_lo[j])
-                    for j in range(n))
-    if budget > _EXPANSION_SANITY:
-        raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
-
-    acc = {(0,) * n: scalar_at(0)}
-    p = {(0,) * n: ring.one()}
+    zero_idx = (0,) * n
+    acc = {zero_idx: scalar_at(0)}
+    p = {zero_idx: ring.one()}
     for i in range(1, budget + 1):
-        nxt = {}
-        for la, ca in p.items():
-            for lb, cb in g.terms.items():
-                l = _add_idx(la, lb)
-                if not all(work_lo[j] <= l[j] <= work_hi[j] for j in range(n)):
-                    continue
-                c = ca * cb
-                if not c:
-                    continue
-                cur = nxt.get(l)
-                nxt[l] = c if cur is None else cur + c
-        p = {l: c for l, c in nxt.items() if c}
+        p = _mul_terms(p, g.terms, work_hi, work_lo)
         if not p:
             break
         s = scalar_at(i)
-        if s:
-            for l, c in p.items():
-                v = c * s
-                if not v:
-                    continue
-                cur = acc.get(l)
-                acc[l] = v if cur is None else cur + v
-    if clipped and p:
+        if not s:
+            continue
+        unit = s.is_one()
+        for l, c in p.items():
+            v = c if unit else c * s
+            if not v:
+                continue
+            cur = acc.get(l)
+            acc[l] = v if cur is None else cur + v
+    # an exact or clipped sum is complete only once the next power leaves the box
+    if (exact or clipped) and _mul_terms(p, g.terms, work_hi, work_lo):
         raise StabilityExhaustedError(
-            "series coefficients exhausted before the expansion escaped the window")
-    return LaurentElt._make(ring, n, acc, tuple(hi), work_lo)
+            "series coefficients exhausted before the expansion terminated")
+    return LaurentElt._make(ring, n, acc, None if exact else tuple(hi), work_lo)
 
 
 def _geom(i):
@@ -806,13 +785,17 @@ def stable_coefficient(build, target, initial_window: Window = None, max_doublin
 
 def series_from_json(ring: Ring, doc) -> LaurentElt:
     try:
-        n = int(doc["n"])
-        pairs = [(tuple(int(x) for x in t["exp"]), ring.parse_coef(t["coef"]))
+        n = json_int(doc["n"])
+        pairs = [(tuple(json_int(x) for x in t["exp"]), ring.parse_coef(t["coef"]))
                  for t in doc.get("terms", [])]
         window = doc.get("window")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series document: {exc}") from exc
     win = None
     if window is not None:
-        win = Window(tuple(int(x) for x in window["lo"]), tuple(int(x) for x in window["hi"]))
+        win = window_from_json(window)
     return from_terms(ring, n, pairs, win)
+
+
+def window_from_json(doc):
+    return Window(tuple(json_int(x) for x in doc["lo"]), tuple(json_int(x) for x in doc["hi"]))

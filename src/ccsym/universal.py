@@ -153,7 +153,10 @@ def check_weight_zero(series: UniversalSeries):
             "checked": len(series.coeffs)}
 
 
+# evaluate_phi's universal series by (key, degree, exponent pairs), oldest first;
+# at _PHI_CACHE_SIZE entries the oldest is evicted
 _PHI_CACHE = {}
+_PHI_CACHE_SIZE = 128
 
 
 def evaluate_phi(key: PhiKey, gs):
@@ -178,6 +181,8 @@ def evaluate_phi(key: PhiKey, gs):
     pairs = tuple(sorted((i + 1, l) for i, g in enumerate(gs) for l in g.terms))
     cache_key = (key, degree, pairs)
     if cache_key not in _PHI_CACHE:
+        if len(_PHI_CACHE) >= _PHI_CACHE_SIZE:
+            del _PHI_CACHE[next(iter(_PHI_CACHE))]
         _PHI_CACHE[cache_key] = _phi_series(key, degree, pairs, None)
     series = _PHI_CACHE[cache_key]
 

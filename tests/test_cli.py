@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ccsym.cli import main
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.laurent import series_from_json
@@ -147,3 +149,52 @@ def test_subprocess_entry(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-1"
+
+
+def _cc_doc(ring, f, g):
+    return {"command": "cc", "ring": ring, "n": 1, "tuple": [f, g]}
+
+
+def test_integral_fields_parse_as_before():
+    code, out = run_cli(_cc_doc({"base": 9}, series(1, [((0,), "7")]), series(1, [((1,), "1")])))
+    assert code == 0 and out["value"] == "7"
+    code, out = run_cli(_cc_doc({"base": "Q", "nil": [["e", 2]]}, series(1, [((0,), "7")]),
+                                series(1, [((1,), "1")])))
+    assert code == 0 and out["value"] == "7"
+
+
+def test_non_integral_modulus_is_a_parse_error():
+    code, out = run_cli(_cc_doc({"base": 9.7}, series(1, [((0,), "7")]),
+                                series(1, [((1,), "1")])))
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_non_integral_exponent_is_a_parse_error():
+    code, out = run_cli(_cc_doc({"base": "Q"}, series(1, [((1.9,), "1")]),
+                                series(1, [((1,), "1")])))
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_boolean_exponent_is_a_parse_error():
+    code, out = run_cli(_cc_doc({"base": "Q"}, series(1, [((True,), "1")]),
+                                series(1, [((1,), "1")])))
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_non_integral_nil_order_is_a_parse_error():
+    code, out = run_cli(_cc_doc({"base": "Q", "nil": [["e", 2.5]]}, series(1, [((0,), "7")]),
+                                series(1, [((1,), "1")])))
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_infinite_number_is_a_parse_error():
+    # int(inf) raised OverflowError, which escaped the CLI as a traceback
+    code, out = run_cli({"command": "phi", "n": 1, "degree": float("inf")})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+def test_dropped_flags_are_refused():
+    t = series(1, [((1,), "1")])
+    with pytest.raises(SystemExit):
+        run_cli({"command": "cc", "ring": {"base": "Q"}, "n": 1, "tuple": [t, t]},
+                ["--seed", "3"])

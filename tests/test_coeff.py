@@ -268,3 +268,20 @@ def test_parse_rejects_negative_exponent():
         with pytest.raises(ParseError):
             ring.parse_coef(text)
     assert ring.parse_coef("u^0") == ring.one()
+
+
+def test_inverse_over_composite_modulus():
+    # 6 is nilpotent mod 48 only at the fourth power: the nil index must see that
+    for m in (12, 48):
+        ring = ring_new(RingSpec(m, free=("u",)))
+        x = ring.parse_coef("6*u^1 + 1")
+        assert x * x.inverse() == ring.one()
+    assert ring.parse_coef("6*u^1 + 1").inverse() == \
+        ring.parse_coef("24*u^3 + 36*u^2 + 42*u^1 + 1")
+
+
+def test_power_sum_refuses_a_survivor_of_the_nil_index(Quv):
+    from ccsym.coeff import _nil_series
+    from ccsym.errors import InternalConsistencyError
+    with pytest.raises(InternalConsistencyError):
+        _nil_series(Quv.gen("u"), lambda i: 1)

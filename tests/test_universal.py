@@ -134,3 +134,21 @@ def test_evaluate_phi_modular_base_via_ring_map():
     for exps, s in valw.terms.items():
         mapped = mapped + z4.from_scalar(int(s) * 2 ** exps[0])
     assert val4 == mapped
+
+
+def test_phi_cache_is_bounded(Ze, monkeypatch):
+    from ccsym import universal
+    monkeypatch.setattr(universal, "_PHI_CACHE", {})
+    e = Ze.gen("e")
+    key = PhiKey(1, (1,))
+    gs = [from_terms(Ze, 1, [((l,), e)]) for l in range(-70, 70)]
+    assert len(gs) > universal._PHI_CACHE_SIZE >= 64
+    first = [evaluate_phi(key, [g]) for g in gs]
+    assert len(universal._PHI_CACHE) == universal._PHI_CACHE_SIZE
+    # the evicted series are rebuilt and give the same values
+    assert [evaluate_phi(key, [g]) for g in gs] == first
+    assert len(universal._PHI_CACHE) == universal._PHI_CACHE_SIZE
+    ring_q, embed = Ze.rationalized()
+    for g, val in list(zip(gs, first))[::35]:
+        ref = cc([one(ring_q, 1) + g.map_coefficients(ring_q, embed), t_var(ring_q, 1, 1)])
+        assert embed(val) == ref
