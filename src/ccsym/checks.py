@@ -26,14 +26,12 @@ from .laurent import (
     valuation,
 )
 from .symbol import (
-    additive_symbol,
     cc,
     cc_eps_linearization,
     cc_eta_linearization,
     det_int,
     sgn_kh,
     sgn_vf,
-    tame_symbol,
 )
 from . import witt as witt_mod
 from .universal import PhiKey, check_integrality, check_weight_zero

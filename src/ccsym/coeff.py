@@ -2,19 +2,35 @@
 
 ``Base`` is the integers, the rationals, or the integers mod ``m``.  Free
 generators ``u_j`` are plain polynomial variables; nil generators ``e_i`` are
-nilpotent of order ``d_i >= 2``.  Every element is stored in a canonical
-sparse form (exponent vector -> base scalar, fully reduced), so equality is
-structural.
+nilpotent of order ``d_i >= 2``.  Rings are immutable; elements carry their
+ring and refuse mixed arithmetic.
 
-Rationals are ``fractions.Fraction`` in lowest terms, modular scalars live in
-``[0, m)``.  Rings are immutable; elements carry their ring and refuse mixed
-arithmetic.
+Every element has one canonical form, so equality is structural:
+
+* **Monomials are packed ints.**  Each ring lays out, from its spec alone,
+  one bit field per generator (free ones first) and one for the total nil
+  degree on top.  A field that dies at ``d`` (``d_i`` for ``e_i``, one past
+  the largest nil degree for the top field) holds its exponent plus a bias
+  ``2**v - d`` below a guard bit ``2**v``.  Keys are stored biased, so the
+  key of a product is ``ka + kb - bias``, and it is zero in the ring exactly
+  when that sum has a guard bit set: some ``e_i`` reached ``d_i`` or the nil
+  degree passed ``nil_total_cap``.  A free field has no bias; its guard
+  marks an exponent of ``2**16`` or more, which raises
+  ``UnsupportedRingError`` rather than wrapping into the next field.
+* **Scalars are int numerators** over one positive denominator ``den`` per
+  element, ``gcd(den, numerators) == 1``.  ``den`` is 1 except over Q, and
+  scalars mod ``m`` lie in ``[0, m)``.
+* **``Coef.terms`` is the tuple-keyed view** ``{exponent tuple: scalar}``
+  (``Fraction`` over Q, ``int`` otherwise), decoded on access and never
+  stored; ``Ring.make`` accepts the same shape.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +44,7 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_FREE_BITS = 16  # value bits of a free generator's field: exponents below 2**16
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,12 @@ def _prime_power(m):
 
 
 class Ring:
-    """Immutable handle for a coefficient ring, with cached structure data."""
+    """Immutable handle for a coefficient ring, with cached structure data.
+
+    The ring also fixes how its elements pack monomials (see the module
+    docstring); the layout depends on the spec alone, so rings with equal
+    specs pack alike and their elements mix freely.
+    """
 
     __slots__ = (
         "spec",
@@ -129,6 +151,13 @@ class Ring:
         "_one",
         "nil_index",
         "_max_nildeg",
+        "_fields",
+        "_shifts",
+        "_bias",
+        "_guard",
+        "_free_guard",
+        "_tshift",
+        "_tbias",
     )
 
     def __init__(self, spec: RingSpec):
@@ -141,6 +170,8 @@ class Ring:
         for name, d in spec.nil:
             if d < 2:
                 raise UnsupportedRingError(f"nil order of {name!r} must be >= 2, got {d}")
+        if spec.nil_total_cap is not None and spec.nil_total_cap < 0:
+            raise UnsupportedRingError(f"nil_total_cap must be >= 0, got {spec.nil_total_cap}")
         if spec.base in ("Q", "Z"):
             self.base = spec.base
             self.modulus = None
@@ -171,12 +202,30 @@ class Ring:
         if self.base == "mod":
             k += (self.mod_prime_power or (0, self.modulus.bit_length() - 1))[1] - 1
         self.nil_index = k
+        # The packed layout (module docstring), lowest bits first.  A field
+        # that dies at d has v value bits, 2**v >= d: two live exponents plus
+        # the bias stay below 2**(v + 1), so no carry crosses into the next.
+        fields = []
+        shift = bias = guard = 0
+        for d in [None] * self.nfree + list(self.nil_orders) + [max_nildeg + 1]:
+            v = _FREE_BITS if d is None else (d - 1).bit_length()
+            b = 0 if d is None else (1 << v) - d
+            fields.append((shift, (1 << v) - 1, b))
+            bias += b << shift
+            guard |= 1 << (shift + v)
+            shift += v + 1
+        self._tshift, _, self._tbias = fields.pop()
+        self._fields = tuple(fields)
+        self._shifts = tuple(shift for shift, _, _ in fields)
+        self._bias = bias
+        self._guard = guard
+        self._free_guard = sum(1 << (s + _FREE_BITS) for s in self._shifts[:self.nfree])
 
     # -- scalar layer -------------------------------------------------------
 
     def scalar(self, value):
         if self.base == "Q":
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if self.base == "Z":
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -231,6 +280,34 @@ class Ring:
     def has_rationals(self):
         return self.base == "Q"
 
+    # -- packed monomials ---------------------------------------------------
+
+    def _pack(self, exps):
+        """The key of an exponent vector, or None when the monomial is zero here."""
+        if len(exps) != len(self.gens) or min(exps, default=0) < 0:
+            raise ParseError(f"bad exponent vector {exps!r} for the generators {self.gens}")
+        if self.nfree and max(exps[:self.nfree]) >> _FREE_BITS:
+            raise UnsupportedRingError(
+                f"free generator exponent in {exps!r} exceeds {(1 << _FREE_BITS) - 1}")
+        nil = exps[self.nfree:]
+        nildeg = sum(nil)
+        if nildeg > self._max_nildeg or any(map(operator.ge, nil, self.nil_orders)):
+            return None
+        return self._bias + (nildeg << self._tshift) + \
+            sum(map(operator.lshift, exps, self._shifts))
+
+    def _decode(self, key):
+        """The exponent vector of a live key."""
+        return tuple([((key >> s) & mask) - b for s, mask, b in self._fields])
+
+    def _element(self, out, den):
+        """The canonical element of packed numerators over ``den``: scalars
+        reduced mod m, zeros dropped, ``den`` coprime to the numerators."""
+        if self.modulus is not None:
+            m = self.modulus
+            return Coef(self, {k: r for k, v in out.items() if (r := v % m)})
+        return _lowest_terms(self, {k: v for k, v in out.items() if v}, den)
+
     # -- element layer ------------------------------------------------------
 
     def compatible(self, other):
@@ -238,30 +315,18 @@ class Ring:
             return
         raise RingMismatchError(f"ring mismatch: {self.spec} vs {other.spec}")
 
-    def _nildeg(self, exps):
-        return sum(exps[self.nfree:])
-
-    def _reduce_terms(self, raw):
-        out = {}
-        for exps, s in raw.items():
-            dead = False
-            for j, d in enumerate(self.nil_orders):
-                if exps[self.nfree + j] >= d:
-                    dead = True
-                    break
-            if dead:
-                continue
-            if self.nil_total_cap is not None and self._nildeg(exps) > self.nil_total_cap:
-                continue
-            if self.base == "mod":
-                s = s % self.modulus
-            if s == 0:
-                continue
-            out[exps] = s
-        return out
-
     def make(self, raw_terms):
-        return Coef(self, self._reduce_terms(raw_terms))
+        """The element ``sum s * x^exps`` of ``{exponent tuple: scalar}``."""
+        out = {}
+        for exps, s in raw_terms.items():
+            key = self._pack(exps)
+            if key is not None:
+                out[key] = self.scalar(s)
+        if self.base != "Q":
+            return self._element(out, 1)
+        den = math.lcm(*(s.denominator for s in out.values()))
+        return self._element({k: s.numerator * (den // s.denominator)
+                              for k, s in out.items()}, den)
 
     def zero(self):
         if self._zero is None:
@@ -270,22 +335,28 @@ class Ring:
 
     def one(self):
         if self._one is None:
-            self._one = Coef(self, {(0,) * len(self.gens): self.scalar(1)})
+            self._one = Coef(self, {self._bias: 1})
         return self._one
 
     def from_scalar(self, value):
         s = self.scalar(value)
         if s == 0:
             return self.zero()
-        return Coef(self, {(0,) * len(self.gens): s})
+        if self.base == "Q":
+            return Coef(self, {self._bias: s.numerator}, s.denominator)
+        return Coef(self, {self._bias: s})
 
     def gen(self, name):
         try:
             i = self._gen_index[name]
         except KeyError:
             raise UnsupportedRingError(f"no generator named {name!r}") from None
-        exps = tuple(1 if j == i else 0 for j in range(len(self.gens)))
-        return Coef(self, {exps: self.scalar(1)})
+        key = self._bias + (1 << self._shifts[i])
+        if i >= self.nfree:
+            if self._max_nildeg < 1:
+                return self.zero()
+            key += 1 << self._tshift
+        return Coef(self, {key: 1})
 
     # -- derived rings ------------------------------------------------------
 
@@ -297,9 +368,12 @@ class Ring:
 
         def embed(x):
             self.compatible(x.ring)
-            return Coef(new, {exps + pad: s for exps, s in x.terms.items()})
+            return Coef(new, {new._pack(self._decode(k) + pad): v for k, v in x._mono.items()},
+                        x.den)
 
         return new, embed
+
+    # The layout ignores the base, so the maps below keep every key.
 
     def rationalized(self):
         """Same generators over Q; returns (new ring, embedding)."""
@@ -311,7 +385,7 @@ class Ring:
 
         def embed(x):
             self.compatible(x.ring)
-            return Coef(new, {exps: Fraction(s) for exps, s in x.terms.items()})
+            return Coef(new, x._mono)
 
         return new, embed
 
@@ -323,11 +397,11 @@ class Ring:
 
         def lift(x):
             self.compatible(x.ring)
-            return Coef(new, dict(x.terms))
+            return Coef(new, x._mono)
 
         def reduce(x):
             new.compatible(x.ring)
-            return self.make({exps: s for exps, s in x.terms.items()})
+            return self._element(x._mono, 1)
 
         return new, lift, reduce
 
@@ -395,65 +469,118 @@ def ring_new(spec: RingSpec) -> Ring:
     return Ring(spec)
 
 
+def _lowest_terms(ring, out, den):
+    """``Coef(ring, out, den)`` with ``den`` made coprime to the numerators."""
+    if den != 1:
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            out = {k: v // g for k, v in out.items()}
+    return Coef(ring, out, den)
+
+
+def _refuse_free_overflow(ring, key):
+    """A product key with a guard bit set is zero in the ring, unless the
+    guard is a free generator's: that exponent does not fit its field."""
+    if key & ring._free_guard:
+        raise UnsupportedRingError(
+            f"a free generator exponent exceeds {(1 << _FREE_BITS) - 1} in a product over {ring}")
+
+
 class Coef:
     """A canonical element of a :class:`Ring`.
 
-    Terms map full exponent vectors (free generators first, then nil
-    generators) to base scalars.  Instances are immutable; all operators
-    return fresh canonical elements.
+    ``_mono`` maps packed monomial keys to nonzero int numerators over the
+    positive denominator ``den`` (1 except over Q), with
+    ``gcd(den, numerators) == 1`` and scalars mod m in ``[0, m)``; ``terms``
+    is the tuple-keyed view of the same element.  Instances are immutable;
+    all operators return fresh canonical elements.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_mono", "den")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, mono, den=1):
         self.ring = ring
-        self.terms = terms
+        self._mono = mono
+        self.den = den
+
+    @property
+    def terms(self):
+        """Read-only ``{exponent tuple: scalar}`` view (free generators first,
+        then nil generators; ``Fraction`` over Q, ``int`` otherwise)."""
+        return TermsView(self)
+
+    def _scalar(self, v):
+        return Fraction(v, self.den) if self.ring.base == "Q" else v
 
     # -- basics -------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Coef):
-            self.ring.compatible(other.ring)
+            if other.ring is not self.ring:
+                self.ring.compatible(other.ring)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.from_scalar(other)
         return NotImplemented
 
     def is_zero(self):
-        return not self.terms
+        return not self._mono
 
     def is_one(self):
         return self == self.ring.one()
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._mono)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.from_scalar(other)
         if not isinstance(other, Coef):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self._mono == other._mono
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.den, frozenset(self._mono.items())))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        """A sum of live monomials is live: only scalars are reduced."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, s in other.terms.items():
-            out[exps] = out.get(exps, 0) + s
-        return self.ring.make(out)
+        ring = self.ring
+        a, b, den = self._mono, other._mono, self.den
+        if other.den != den:
+            lcm = math.lcm(den, other.den)
+            fa, fb = lcm // den, lcm // other.den
+            out = {k: v * fa for k, v in a.items()}
+            b = {k: v * fb for k, v in b.items()}
+            den = lcm
+        else:
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+        get = out.get
+        m = ring.modulus
+        for k, v in b.items():
+            s = get(k, 0) + v
+            if m is not None and s >= m:
+                s -= m
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _lowest_terms(ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coef(self.ring, {e: self.ring.scalar(-s) if self.ring.base == "mod" else -s
-                                for e, s in self.terms.items()})
+        m = self.ring.modulus
+        if m is None:
+            return Coef(self.ring, {k: -v for k, v in self._mono.items()}, self.den)
+        return Coef(self.ring, {k: m - v for k, v in self._mono.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -469,23 +596,44 @@ class Coef:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        cap = ring._max_nildeg
-        mine = {}
-        for e, s in self.terms.items():
-            mine.setdefault(ring._nildeg(e), []).append((e, s))
-        theirs = {}
-        for e, s in other.terms.items():
-            theirs.setdefault(ring._nildeg(e), []).append((e, s))
+        a, b = self._mono, other._mono
+        if len(a) < len(b):
+            a, b = b, a
+        tshift, bias, guard = ring._tshift, ring._bias, ring._guard
         out = {}
-        for da, aterms in mine.items():
-            for db, bterms in theirs.items():
-                if da + db > cap:
+        if len(b) == 1:
+            # a biased key plus an unbiased one is the biased key of the
+            # product; with one term on a side no two products share a key
+            (kb, sb), = b.items()
+            kb -= bias
+            for ka, sa in a.items():
+                k = ka + kb
+                if k & guard:
+                    _refuse_free_overflow(ring, k)
                     continue
-                for ea, sa in aterms:
-                    for eb, sb in bterms:
-                        key = tuple(x + y for x, y in zip(ea, eb))
-                        out[key] = out.get(key, 0) + sa * sb
-        return ring.make(out)
+                out[k] = sa * sb
+            return ring._element(out, self.den * other.den)
+        # Group the smaller side by nil degree (the top field, bias included),
+        # lowest first, so that each term of the other stops at the first
+        # group whose degree would take the product past the ring's maximum.
+        groups = {}
+        for k, v in b.items():
+            groups.setdefault(k >> tshift, []).append((k - bias, v))
+        groups = sorted(groups.items())
+        top = ring._max_nildeg + 2 * ring._tbias
+        get = out.get
+        for ka, sa in a.items():
+            room = top - (ka >> tshift)
+            for db, bterms in groups:
+                if db > room:
+                    break
+                for kb, sb in bterms:
+                    k = ka + kb
+                    if k & guard:
+                        _refuse_free_overflow(ring, k)
+                        continue
+                    out[k] = get(k, 0) + sa * sb
+        return ring._element(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -504,17 +652,15 @@ class Coef:
     # -- structure queries ---------------------------------------------------
 
     def constant_scalar(self):
-        return self.terms.get((0,) * len(self.ring.gens), self.ring.scalar(0))
+        return self._scalar(self._mono.get(self.ring._bias, 0))
 
     def is_nilpotent(self):
-        self.ring.requires_connected()
-        nfree = self.ring.nfree
-        for exps, s in self.terms.items():
-            if any(exps[nfree + j] > 0 for j in range(len(self.ring.nil_orders))):
-                continue
-            if not self.ring.scalar_is_nilpotent(s):
-                return False
-        return True
+        ring = self.ring
+        ring.requires_connected()
+        tshift, tbias = ring._tshift, ring._tbias
+        # a term of positive nil degree is nilpotent; the others need a nilpotent scalar
+        return all(ring.scalar_is_nilpotent(v) for k, v in self._mono.items()
+                   if k >> tshift == tbias)
 
     def nil_order(self):
         if not self.is_nilpotent():
@@ -532,17 +678,14 @@ class Coef:
 
     def is_invertible(self):
         ring = self.ring
-        nfree = ring.nfree
+        tshift, tbias = ring._tshift, ring._tbias
         unit_constant = False
-        for exps, s in self.terms.items():
-            if any(exps[nfree + j] > 0 for j in range(len(ring.nil_orders))):
+        for k, v in self._mono.items():
+            if k >> tshift != tbias:
                 continue
-            if all(e == 0 for e in exps):
-                if ring.scalar_is_unit(s):
-                    unit_constant = True
-                elif not ring.scalar_is_nilpotent(s):
-                    return False
-            elif not ring.scalar_is_nilpotent(s):
+            if k == ring._bias and ring.scalar_is_unit(v):
+                unit_constant = True
+            elif not ring.scalar_is_nilpotent(v):
                 return False
         return unit_constant
 
@@ -576,12 +719,14 @@ class Coef:
             raise ZeroDivisionError("division by zero")
         ring = self.ring
         if ring.base == "Q":
-            integral = all(s.numerator % k == 0 for s in self.terms.values())
+            # each term's numerator in lowest terms must be divisible by k
+            den = self.den
+            integral = all(v // math.gcd(v, den) % k == 0 for v in self._mono.values())
             return self * Fraction(1, k), integral
         if ring.base == "Z":
-            if any(s % k for s in self.terms.values()):
+            if any(v % k for v in self._mono.values()):
                 raise InexactDivisionError(f"{self} is not divisible by {k} over Z")
-            return Coef(ring, {e: s // k for e, s in self.terms.items()}), True
+            return Coef(ring, {key: v // k for key, v in self._mono.items()}), True
         if math.gcd(k, ring.modulus) == 1:
             return self * ring.from_scalar(ring._scalar_inverse_mod(k)), True
         raise InexactDivisionError(f"cannot divide by {k} mod {ring.modulus}")
@@ -589,19 +734,70 @@ class Coef:
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._mono:
             return "0"
+        ring = self.ring
+        decode, den = ring._decode, self.den
+        terms = sorted(((decode(k), v) for k, v in self._mono.items()),
+                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            s = self.terms[exps]
-            factors = [str(s)]
-            for name, e in zip(self.ring.gens, exps):
+        for exps, v in terms:
+            g = math.gcd(v, den)
+            factors = [str(v // g) if g == den else f"{v // g}/{den // g}"]
+            for name, e in zip(ring.gens, exps):
                 if e:
                     factors.append(f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+class TermsView(Mapping):
+    """The ``terms`` of a :class:`Coef`: ``{exponent tuple: scalar}``, read-only.
+
+    It stores nothing: each iteration decodes the element's packed keys and
+    each lookup packs the tuple it is given.
+    """
+
+    __slots__ = ("_coef",)
+
+    def __init__(self, coef):
+        self._coef = coef
+
+    def __len__(self):
+        return len(self._coef._mono)
+
+    def __iter__(self):
+        return map(self._coef.ring._decode, self._coef._mono)
+
+    def __getitem__(self, exps):
+        coef = self._coef
+        try:
+            key = coef.ring._pack(exps)
+        except (TypeError, ParseError, UnsupportedRingError):
+            key = None
+        if key not in coef._mono:
+            raise KeyError(exps)
+        return coef._scalar(coef._mono[key])
+
+    def _pairs(self):
+        coef = self._coef
+        decode, scalar = coef.ring._decode, coef._scalar
+        return ((decode(k), scalar(v)) for k, v in coef._mono.items())
+
+    def items(self):
+        return _TermItems(self)
+
+    def __repr__(self):
+        return repr(dict(self._pairs()))
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._pairs()
 
 
 def _nil_series(w, coef_at):

@@ -431,6 +431,15 @@ def from_terms(ring, n, pairs, window=None):
 
 # -- valuation and decomposition ---------------------------------------------------
 
+def require_exact(series, what):
+    """Refuse windowed input where a caller must pass exact series: a
+    ``ParseError`` that names the (1-based) slot of the first windowed one."""
+    for slot, f in enumerate(series, 1):
+        if not f.is_exact():
+            raise ParseError(f"{what}: slot {slot} is a windowed series; "
+                             "exact input is required")
+
+
 def valuation(f: LaurentElt):
     """The lex-smallest index carrying an invertible coefficient.
 
@@ -531,6 +540,7 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
     lex-negative factor is not a Laurent polynomial (possible once n >= 2)
     fail with a stability error rather than looping.
     """
+    require_exact((f,), "decompose")
     nu, c, s = coarse_split(f)
     ring = f.ring
     unit = one(ring, f.n)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .coeff import Coef
 from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
 from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
-from .laurent import LaurentElt, coarse_split, one, valuation
+from .laurent import LaurentElt, coarse_split, one, require_exact, valuation
 
 
 # -- integer linear algebra ----------------------------------------------------
@@ -97,6 +97,7 @@ def additive_symbol(entries):
     n = entries[0].n
     if len(entries) != n:
         raise ParseError(f"additive symbol needs {n} series over {n} variables")
+    require_exact(entries, "nu")
     return det_int([valuation(f) for f in entries])
 
 
@@ -128,15 +129,16 @@ def cc(entries, want_trace=False):
         raise ParseError(f"the symbol over {n} variables takes {n + 1} series")
     for f in entries[1:]:
         entries[0]._check(f)
+    require_exact(entries, "cc")
     splits = [coarse_split(f) for f in entries]
     nus = [nu for nu, _, _ in splits]
-    trace = []
+    trace = [] if want_trace else None  # its strings are built only on request
     value = ring.one()
 
     s = sgn_vf(*nus)
     if s:
         value = value * ring.from_scalar(-1)
-    if any(any(v) for v in nus):
+    if trace is not None and any(any(v) for v in nus):
         trace.append(f"monomial: (-1)^{s}")
 
     for i, (_, c, _) in enumerate(splits):
@@ -147,7 +149,8 @@ def cc(entries, want_trace=False):
             continue
         exponent = dt if i % 2 == 0 else -dt
         value = value * c ** exponent
-        trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
+        if trace is not None:
+            trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
 
     unit = {(0,) * n: ring.one()}
     sharp = {i: s_part for i, (_, _, s_part) in enumerate(splits)
@@ -178,7 +181,8 @@ def _sharp_contribution(ring, n, nus, sharp, subsets, trace):
 
     A subset T with least slot k contributes log of k's sharp factor, dlog of
     the sharp factors of the other slots in T and the monomial dlog of the
-    slots outside T; all of them go to one certified evaluation.
+    slots outside T; all of them go to one certified evaluation.  A ``trace``
+    list, when given, gets one line per nonzero residue.
     """
     logs = {k: Log(s_part) for k, s_part in sharp.items()}
     dlogs = {j: Dlog(s_part) for j, s_part in sharp.items()}
@@ -195,8 +199,9 @@ def _sharp_contribution(ring, n, nus, sharp, subsets, trace):
             if not r.is_nilpotent():
                 raise InternalConsistencyError(
                     f"sharp-branch residue {r} is not nilpotent")
-            trace.append(f"sharp slots {sorted(x + 1 for x in t_set)}: "
-                         f"exp({'-' if k % 2 else ''}res) with res = {r}")
+            if trace is not None:
+                trace.append(f"sharp slots {sorted(x + 1 for x in t_set)}: "
+                             f"exp({'-' if k % 2 else ''}res) with res = {r}")
         total = total + (r if k % 2 == 0 else -r)
     return total
 
@@ -262,6 +267,7 @@ def tame_symbol(f: LaurentElt, g: LaurentElt) -> Coef:
     if not is_field or ring.gens:
         raise UnsupportedRingError("the tame symbol needs a field of coefficients")
     f._check(g)
+    require_exact((f, g), "tame")
     a = valuation(f)[0]
     b = valuation(g)[0]
     lead_f = f.terms[(a,)]

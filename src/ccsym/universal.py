@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coeff import RingSpec, ring_new
 from .errors import InternalConsistencyError, NotSharpError, ParseError
-from .laurent import Window, from_terms, one, t_var
+from .laurent import Window, from_terms, t_var
 from .symbol import cc
 
 __all__ = [

@@ -20,7 +20,6 @@ from .errors import (
     InexactDivisionError,
     InternalConsistencyError,
     ParseError,
-    UnsupportedRingError,
 )
 from .forms import Dlog, certified_residues
 from .laurent import LaurentElt, monomial

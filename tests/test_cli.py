@@ -113,6 +113,20 @@ def test_error_exit_codes():
     assert code == 2 and out["error"]["kind"] == "StabilityExhausted"
 
 
+@pytest.mark.parametrize("command, slot", [("cc", 2), ("nu", 1), ("tame", 2), ("decompose", 1)])
+def test_windowed_input_is_a_parse_error_naming_the_slot(command, slot):
+    exact = series(1, [((1,), "1")])
+    windowed = series(1, [((0,), "1"), ((1,), "1")], window={"lo": [0], "hi": [3]})
+    doc = {"command": command, "ring": {"base": "Q"}, "n": 1}
+    if command == "decompose":
+        doc["series"] = windowed
+    else:
+        doc["tuple"] = [exact, windowed][2 - slot:] if command == "nu" else [exact, windowed]
+    code, out = run_cli(doc)
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert out["error"]["detail"].startswith(f"{command}: slot {slot} is a windowed series")
+
+
 def test_negative_generator_exponent_is_a_parse_error():
     code, out = run_cli({"command": "cc", "ring": {"base": "Q", "free": ["u"]}, "n": 1,
                          "tuple": [series(1, [((0,), "u^-1")]), series(1, [((1,), "1")])]})

@@ -153,6 +153,22 @@ def test_cc_rejects_bad_input(Q, Z):
         cc([one(Z, 1) + tz, tz])
 
 
+def test_cc_formats_its_trace_only_on_request(tower, monkeypatch):
+    # 2 (1 + e1 t) against t (1 + e2 t^-1): monomial, constant and sharp branches
+    e1, e2 = tower.gen("e1"), tower.gen("e2")
+    f = from_terms(tower, 1, [((0,), 2), ((1,), e1 * 2)])
+    g = from_terms(tower, 1, [((1,), 1), ((0,), e2)])
+    value, trace = cc([f, g], want_trace=True)
+    assert trace == ["monomial: (-1)^0", "constant slot 1: (2)^1",
+                     "sharp slots [1, 2]: exp(res) with res = -1*e1^1*e2^1"]
+
+    def unprintable(self):
+        raise AssertionError("a trace string was built")
+
+    monkeypatch.setattr(type(e1), "__str__", unprintable)
+    assert cc([f, g]) == value
+
+
 def test_cc_over_integers_without_sharp_branch(Z):
     # constant/monomial branches need no rationals
     t = t_var(Z, 1, 1)
