@@ -15,8 +15,9 @@ Every element has one canonical form, so equality is structural:
   key of a product is ``ka + kb - bias``, and it is zero in the ring exactly
   when that sum has a guard bit set: some ``e_i`` reached ``d_i`` or the nil
   degree passed ``nil_total_cap``.  A free field has no bias; its guard
-  marks an exponent of ``2**16`` or more, which raises
-  ``UnsupportedRingError`` rather than wrapping into the next field.
+  marks an exponent of ``2**16`` or more, which in a monomial that is not
+  zero raises ``UnsupportedRingError`` rather than wrapping into the next
+  field.
 * **Scalars are int numerators** over one positive denominator ``den`` per
   element, ``gcd(den, numerators) == 1``.  ``den`` is 1 except over Q, and
   scalars mod ``m`` lie in ``[0, m)``.
@@ -155,7 +156,7 @@ class Ring:
         "_shifts",
         "_bias",
         "_guard",
-        "_free_guard",
+        "_nil_guard",
         "_tshift",
         "_tbias",
     )
@@ -219,7 +220,7 @@ class Ring:
         self._shifts = tuple(shift for shift, _, _ in fields)
         self._bias = bias
         self._guard = guard
-        self._free_guard = sum(1 << (s + _FREE_BITS) for s in self._shifts[:self.nfree])
+        self._nil_guard = guard - sum(1 << (s + _FREE_BITS) for s in self._shifts[:self.nfree])
 
     # -- scalar layer -------------------------------------------------------
 
@@ -286,13 +287,13 @@ class Ring:
         """The key of an exponent vector, or None when the monomial is zero here."""
         if len(exps) != len(self.gens) or min(exps, default=0) < 0:
             raise ParseError(f"bad exponent vector {exps!r} for the generators {self.gens}")
-        if self.nfree and max(exps[:self.nfree]) >> _FREE_BITS:
-            raise UnsupportedRingError(
-                f"free generator exponent in {exps!r} exceeds {(1 << _FREE_BITS) - 1}")
         nil = exps[self.nfree:]
         nildeg = sum(nil)
         if nildeg > self._max_nildeg or any(map(operator.ge, nil, self.nil_orders)):
             return None
+        if self.nfree and max(exps[:self.nfree]) >> _FREE_BITS:
+            raise UnsupportedRingError(
+                f"free generator exponent in {exps!r} exceeds {(1 << _FREE_BITS) - 1}")
         return self._bias + (nildeg << self._tshift) + \
             sum(map(operator.lshift, exps, self._shifts))
 
@@ -480,9 +481,9 @@ def _lowest_terms(ring, out, den):
 
 
 def _refuse_free_overflow(ring, key):
-    """A product key with a guard bit set is zero in the ring, unless the
-    guard is a free generator's: that exponent does not fit its field."""
-    if key & ring._free_guard:
+    """A product key with a nil guard bit set is zero in the ring; one with
+    only a free generator's guard set has an exponent that does not fit."""
+    if not key & ring._nil_guard:
         raise UnsupportedRingError(
             f"a free generator exponent exceeds {(1 << _FREE_BITS) - 1} in a product over {ring}")
 
@@ -600,19 +601,6 @@ class Coef:
         if len(a) < len(b):
             a, b = b, a
         tshift, bias, guard = ring._tshift, ring._bias, ring._guard
-        out = {}
-        if len(b) == 1:
-            # a biased key plus an unbiased one is the biased key of the
-            # product; with one term on a side no two products share a key
-            (kb, sb), = b.items()
-            kb -= bias
-            for ka, sa in a.items():
-                k = ka + kb
-                if k & guard:
-                    _refuse_free_overflow(ring, k)
-                    continue
-                out[k] = sa * sb
-            return ring._element(out, self.den * other.den)
         # Group the smaller side by nil degree (the top field, bias included),
         # lowest first, so that each term of the other stops at the first
         # group whose degree would take the product past the ring's maximum.
@@ -621,6 +609,7 @@ class Coef:
             groups.setdefault(k >> tshift, []).append((k - bias, v))
         groups = sorted(groups.items())
         top = ring._max_nildeg + 2 * ring._tbias
+        out = {}
         get = out.get
         for ka, sa in a.items():
             room = top - (ka >> tshift)

@@ -259,6 +259,20 @@ def test_huge_free_exponent_is_refused():
     assert ring.parse_coef("e^" + str(10 ** 30)).is_zero()
 
 
+def test_huge_free_exponent_of_a_zero_monomial_is_dropped():
+    # only live monomials must fit: u^80000*e^2 is zero over Q[u; e^2]
+    ring = ring_new(RingSpec("Q", free=("u",), nil=(("e", 2),)))
+    x = ring.parse_coef("u^40000*e")
+    assert (1 + x) ** 2 == 1 + 2 * x
+    assert (x * x).is_zero() and (x * ring.parse_coef("u^40000*e + 3")) == 3 * x
+    assert x.exp() == 1 + x and (1 + x).log() == x
+    assert ring.parse_coef("u^70000*e^2 + e").terms == {(0, 1): 1}
+    assert ring.make({(1 << 70, 2): 5}).is_zero()
+    capped = ring_new(RingSpec("Z", free=("u",), nil=(("e", 3), ("f", 3)), nil_total_cap=1))
+    y = capped.parse_coef("u^40000*e + u^40000*f + 1")
+    assert y * y == capped.parse_coef("2*u^40000*e + 2*u^40000*f + 1")
+
+
 def test_negative_nil_total_cap_is_refused():
     # a negative cap would kill even the constant monomial
     with pytest.raises(UnsupportedRingError):
