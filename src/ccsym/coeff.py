@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -601,27 +602,22 @@ class Coef:
         if len(a) < len(b):
             a, b = b, a
         tshift, bias, guard = ring._tshift, ring._bias, ring._guard
-        # Group the smaller side by nil degree (the top field, bias included),
-        # lowest first, so that each term of the other stops at the first
-        # group whose degree would take the product past the ring's maximum.
-        groups = {}
-        for k, v in b.items():
-            groups.setdefault(k >> tshift, []).append((k - bias, v))
-        groups = sorted(groups.items())
-        top = ring._max_nildeg + 2 * ring._tbias
+        # The nil degree is the top field, so sorted keys ascend by degree:
+        # each term of the smaller side meets only the prefix of the larger
+        # whose degree keeps the product within the ring's maximum.
+        items = sorted(a.items())
+        top = ring._max_nildeg + 2 * ring._tbias + 1
         out = {}
         get = out.get
-        for ka, sa in a.items():
-            room = top - (ka >> tshift)
-            for db, bterms in groups:
-                if db > room:
-                    break
-                for kb, sb in bterms:
-                    k = ka + kb
-                    if k & guard:
-                        _refuse_free_overflow(ring, k)
-                        continue
-                    out[k] = get(k, 0) + sa * sb
+        for kb, sb in b.items():
+            cut = bisect_left(items, ((top - (kb >> tshift)) << tshift,))
+            kb -= bias
+            for ka, sa in items[:cut]:
+                k = ka + kb
+                if k & guard:
+                    _refuse_free_overflow(ring, k)
+                    continue
+                out[k] = get(k, 0) + sa * sb
         return ring._element(out, self.den * other.den)
 
     __rmul__ = __mul__
