@@ -34,7 +34,7 @@ from .symbol import (
     sgn_vf,
 )
 from . import witt as witt_mod
-from .universal import PhiKey, check_integrality, check_weight_zero
+from .universal import PhiKey, check_integrality, check_weight_zero, phi_coefficients
 
 
 def default_ring():
@@ -58,20 +58,21 @@ def random_unit_coef(rng, ring):
     return c + random_nilpotent_coef(rng, ring)
 
 
-def random_invertible_series(rng, ring, n, bound=2, nu_bound=1, nu_orthant=False):
+def random_invertible_series(rng, ring, n, nu_orthant=False):
     """A random unit of the series ring, built as t^nu * c * v_plus * v_minus.
 
+    ``nu`` lies in [-1, 1]^n and the exponent of each factor in [-2, 2]^n.
     With ``nu_orthant`` the monomial exponent keeps a componentwise-uniform
     sign, so that 1 - f also stays inside the box-window (orthant) regime.
     """
     if nu_orthant:
         sign = rng.choice([1, -1])
-        nu = tuple(sign * rng.randint(0, nu_bound) for _ in range(n))
+        nu = tuple(sign * rng.randint(0, 1) for _ in range(n))
     else:
-        nu = tuple(rng.randint(-nu_bound, nu_bound) for _ in range(n))
+        nu = tuple(rng.randint(-1, 1) for _ in range(n))
     f = monomial(ring, n, nu, random_unit_coef(rng, ring))
     for _ in range(rng.randint(0, 2)):
-        l = tuple(rng.randint(-bound, bound) for _ in range(n))
+        l = tuple(rng.randint(-2, 2) for _ in range(n))
         if lex_positive(l):
             if all(x >= 0 for x in l):
                 coef = ring.from_scalar(rng.randint(-2, 2))
@@ -79,18 +80,18 @@ def random_invertible_series(rng, ring, n, bound=2, nu_bound=1, nu_orthant=False
                 coef = random_nilpotent_coef(rng, ring)
             f = f * (one(ring, n) + monomial(ring, n, l, coef))
     for _ in range(rng.randint(0, 2)):
-        l = tuple(rng.randint(-bound, bound) for _ in range(n))
+        l = tuple(rng.randint(-2, 2) for _ in range(n))
         if lex_negative(l):
             f = f * (one(ring, n) + monomial(ring, n, l, random_nilpotent_coef(rng, ring)))
     return f
 
 
-def random_laurent_poly(rng, ring, n, bound=2, max_terms=3, nilpotent=False):
+def random_laurent_poly(rng, ring, n, bound=2):
+    """Up to three terms with exponents in [-bound, bound]^n."""
     pairs = []
-    for _ in range(rng.randint(0 if not nilpotent else 1, max_terms)):
+    for _ in range(rng.randint(0, 3)):
         l = tuple(rng.randint(-bound, bound) for _ in range(n))
-        c = random_nilpotent_coef(rng, ring) if nilpotent else \
-            ring.from_scalar(rng.randint(-3, 3)) + random_nilpotent_coef(rng, ring)
+        c = ring.from_scalar(rng.randint(-3, 3)) + random_nilpotent_coef(rng, ring)
         pairs.append((l, c))
     return from_terms(ring, n, pairs)
 
@@ -209,9 +210,9 @@ def suite_eta_identities(ring=None, n=1, trials=20, seed=0):
     return _run("eta_identities", trials, seed, body)
 
 
-def suite_witt_bilinear(ring=None, n=1, trials=20, seed=0, depth=6):
+def suite_witt_bilinear(ring=None, n=1, trials=20, seed=0):
     ring = ring or ring_new(RingSpec("Q", nil=(("e1", 2),)))
-    S = witt_mod.IndexSet.closure(range(1, depth + 1))
+    S = witt_mod.IndexSet.closure(range(1, 7))
 
     def body(rng, k):
         f1 = random_invertible_series(rng, ring, n)
@@ -234,9 +235,8 @@ def suite_witt_bilinear(ring=None, n=1, trials=20, seed=0, depth=6):
     return _run("witt_bilinear", trials, seed, body)
 
 
-def suite_phi_integrality(n=1, js=None, degree=4, radius=3, trials=1, seed=0):
-    from .universal import phi_coefficients
-    key = PhiKey(n, tuple(js) if js is not None else tuple(range(1, n + 1)))
+def suite_phi_integrality(n=1, degree=4, radius=3):
+    key = PhiKey(n, tuple(range(1, n + 1)))
     series = phi_coefficients(key, degree, Window.cube(n, radius))
     rep_i = check_integrality(series)
     rep_w = check_weight_zero(series)

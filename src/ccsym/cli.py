@@ -21,7 +21,6 @@ from .laurent import Window, decompose, series_from_json, window_from_json
 from .symbol import additive_symbol, cc, tame_symbol
 from .universal import PhiKey, check_integrality, check_weight_zero, phi_coefficients
 from .witt import IndexSet, WittVector, ghost, witt_pair
-from .checks import SUITES, default_ring
 
 
 def _ring_from(doc):
@@ -94,6 +93,8 @@ def _cmd_phi(doc):
 
 
 def _cmd_check(doc):
+    from .checks import SUITES, default_ring  # the check suites load for this command only
+
     name = doc.get("suite")
     if name not in SUITES:
         raise ParseError(f"unknown suite {name!r}; have {sorted(SUITES)}")
@@ -125,6 +126,13 @@ _COMMANDS = {
 }
 
 
+def _decode(raw):
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ParseError("the request is nested too deeply to decode") from None
+
+
 def _emit(payload, pretty):
     text = json.dumps(payload, sort_keys=True, indent=2 if pretty else None)
     sys.stdout.write(text + "\n")
@@ -140,20 +148,14 @@ def main(argv=None):
 
     try:
         raw = open(args.file).read() if args.file else sys.stdin.read()
-        doc = json.loads(raw)
+        doc = _decode(raw)
         command = doc["command"]
         handler = _COMMANDS.get(command)
         if handler is None:
             raise ParseError(f"unknown command {command!r}; have {sorted(_COMMANDS)}")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
-        detail = exc.detail if isinstance(exc, ParseError) else str(exc)
-        _emit({"ok": False, "error": {"kind": "ParseError", "detail": detail}}, False)
-        return 1
-
-    try:
         result = handler(doc)
-    except (EngineError, KeyError, TypeError, ValueError) as exc:
-        # malformed fields read as parse errors (exit 1), domain errors exit 2
+    except (OSError, EngineError, KeyError, TypeError, ValueError) as exc:
+        # unreadable or malformed input reads as a parse error (exit 1), domain errors exit 2
         engine = isinstance(exc, EngineError)
         kind = exc.kind if engine else "ParseError"
         detail = exc.detail if engine else str(exc)

@@ -265,18 +265,12 @@ class LaurentElt:
         A windowed element is judged on its stored terms: the expansions that
         accept one (log, exp, composition) certify the rest from its floor.
         """
-        zero_idx = (0,) * self.n
-        for l, c in self.terms.items():
-            if (l == zero_idx or lex_negative(l)) and not c.is_nilpotent():
-                return False
-        return True
+        zero_key = (0,) * self.n
+        return all(c.is_nilpotent() for l, c in self.terms.items()
+                   if lex_key(l) <= zero_key)
 
     def is_sharp_mult(self):
         return (self - one(self.ring, self.n)).is_sharp_add()
-
-    def _require_exact(self, what):
-        if self.hi is not None:
-            raise InternalConsistencyError(f"{what} needs an exact element")
 
     # -- comparison / display --------------------------------------------------------
 
@@ -446,7 +440,7 @@ def valuation(f: LaurentElt):
     Exact invertible input required: every lex-smaller coefficient must be
     nilpotent.  This is the discrete component of the unit-group splitting.
     """
-    f._require_exact("valuation")
+    require_exact((f,), "valuation")
     f.ring.requires_connected()
     if not f.terms:
         raise NotInvertibleError("the zero series is not invertible")
@@ -569,8 +563,10 @@ def _generator_parts(g: LaurentElt):
     """Unit monomials, nilpotent monomials and expansion floor of a generator.
 
     Raises for the generators no box window can expand, as the expansion
-    itself would.
+    itself would: ``NotSharpError`` unless ``g`` is additively sharp.
     """
+    if not g.is_sharp_add():
+        raise NotSharpError(f"expansion generator {g} is not additively sharp")
     if g.hi is not None and any(x < 0 for x in g._floor() or (0,) * g.n):
         raise StabilityExhaustedError(
             "cannot expand over a windowed generator with negative support floor")
@@ -578,10 +574,6 @@ def _generator_parts(g: LaurentElt):
     nil_idx = []
     for l, c in g.terms.items():
         (nil_idx if c.is_nilpotent() else unit_idx).append(l)
-    for l in unit_idx:
-        if not lex_positive(l):
-            raise InternalConsistencyError(
-                f"expansion generator has a unit coefficient at non-positive index {l}")
     if any(x < 0 for l in unit_idx for x in l):
         raise StabilityExhaustedError(
             "expansion generator has a unit coefficient in a mixed lex direction; "
@@ -718,18 +710,14 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    g = f - one(f.ring, f.n)
-    if not g.is_sharp_add():
-        raise NotSharpError(f"{f} is not multiplicatively sharp")
-    return _expand_series(g, lambda i: Fraction((-1) ** (i + 1), i) if i else 0,
+    return _expand_series(f - one(f.ring, f.n),
+                          lambda i: Fraction((-1) ** (i + 1), i) if i else 0,
                           None if window is None else tuple(window.hi))
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    if not g.is_sharp_add():
-        raise NotSharpError(f"{g} is not additively sharp")
     fact = [Fraction(1)]
 
     def coeff(i):
@@ -742,8 +730,6 @@ def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
 
 def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
     """phi(f) for a univariate power series phi given by its coefficients."""
-    if not f.is_sharp_add():
-        raise NotSharpError(f"{f} is not additively sharp")
     coeffs = list(phi_coeffs)
     return _expand_series(f, lambda i: coeffs[i],
                           None if window is None else tuple(window.hi),
@@ -752,43 +738,28 @@ def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentE
 
 # -- the stability protocol -----------------------------------------------------------
 
-def _grow_hi(h):
-    return h * 2 if h > 0 else 2
-
-
-def _grow_lo(l):
-    return l * 2 if l < 0 else -2
-
-
-def default_window(n, target=None, radius=2):
-    target = target or (0,) * n
-    lo = tuple(min(-radius, t - 1) for t in target)
-    hi = tuple(max(radius, t + 1) for t in target)
-    return Window(lo, hi)
-
-
-def stable_coefficient(build, target, initial_window: Window = None, max_doublings=6):
+def stable_coefficient(build, target):
     """Evaluate ``build(window)`` on growing windows until the target
     coefficient is certified, or fail loudly.
 
     ``build`` is called with the current window and must return a
-    :class:`LaurentElt`.  Because every windowed value carries its own
-    exactness certificate, a returned coefficient is provably correct; inputs
-    whose expansions cannot converge in any box raise immediately.
+    :class:`LaurentElt`.  The first window reaches at least 2, and one past
+    the target, on each side; each retry doubles it, six times at most.
+    Because every windowed value carries its own exactness certificate, a
+    returned coefficient is provably correct; inputs whose expansions cannot
+    converge in any box raise immediately.
     """
     target = tuple(target)
-    win = initial_window or default_window(len(target), target)
-    last = None
-    for _ in range(max_doublings + 1):
+    lo = tuple(min(-2, t - 1) for t in target)
+    hi = tuple(max(2, t + 1) for t in target)
+    for _ in range(7):
         try:
-            return build(win).coefficient(target)
+            return build(Window(lo, hi)).coefficient(target)
         except WindowExceededError as exc:
             last = exc
-            win = Window(tuple(_grow_lo(x) for x in win.lo),
-                         tuple(_grow_hi(x) for x in win.hi))
+            lo, hi = tuple(2 * x for x in lo), tuple(2 * x for x in hi)
     raise StabilityExhaustedError(
-        f"no window up to {win.hi} certified the coefficient at {target}"
-        + (f" ({last.detail})" if last else ""))
+        f"no window up to {hi} certified the coefficient at {target} ({last.detail})")
 
 
 # -- serialization ---------------------------------------------------------------------

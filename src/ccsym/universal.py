@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coeff import RingSpec, ring_new
 from .errors import InternalConsistencyError, NotSharpError, ParseError
-from .laurent import Window, from_terms, t_var
+from .laurent import Window, from_terms, require_exact, t_var
 from .symbol import cc
 
 __all__ = [
@@ -172,8 +172,8 @@ def evaluate_phi(key: PhiKey, gs):
     ring, n = gs[0].ring, gs[0].n
     if n != key.n:
         raise ParseError("variable count does not match the key")
+    require_exact(gs, "evaluate_phi")
     for g in gs:
-        g._require_exact("universal-series evaluation")
         for l, c in g.terms.items():
             if not c.is_nilpotent():
                 raise NotSharpError(f"coefficient {c} at {l} is not nilpotent")

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
 )
 from .forms import Dlog, certified_residues
-from .laurent import LaurentElt, monomial
+from .laurent import LaurentElt, monomial, require_exact
 
 __all__ = [
     "IndexSet", "WittVector", "GhostVector", "ghost", "ghost_to_coords",
@@ -196,11 +196,12 @@ def upsilon(w: WittVector, degree_bound=None) -> LaurentElt:
 def witt_pair(fs, g: WittVector):
     """The pairing (f_1, ..., f_n | g] as a Witt vector over the coefficients.
 
-    ``g`` has iterated-Laurent-series coordinates over the same ring as the
-    ``f_i``.  Ghost coordinates of the result are residues, read in one batch
-    that expands each ``dlog f_i`` once; passage back to Witt coordinates
-    must be integral over integral bases (lifting through the integers for
-    modular ones), anything else is an internal fault.
+    The ``f_i`` must be exact; ``g`` has iterated-Laurent-series coordinates
+    over the same ring, exact or windowed.  Ghost coordinates of the result
+    are residues, read in one batch that expands each ``dlog f_i`` once;
+    passage back to Witt coordinates must be integral over integral bases
+    (lifting through the integers for modular ones), anything else is an
+    internal fault.
     """
     fs = list(fs)
     if not fs:
@@ -208,6 +209,7 @@ def witt_pair(fs, g: WittVector):
     ring, n = fs[0].ring, fs[0].n
     if len(fs) != n:
         raise ParseError(f"the pairing needs {n} series over {n} variables")
+    require_exact(fs, "witt-pair")
     if ring.base == "mod":
         lifted_ring, lift, drop = ring.integer_lift()
         fs_l = [f.map_coefficients(lifted_ring, lift) for f in fs]

@@ -10,17 +10,23 @@ from ccsym.coeff import RingSpec, ring_new
 from ccsym.laurent import series_from_json
 
 
-def run_cli(doc, argv=()):
+def run_raw(text, argv=()):
+    """main on a request text: (exit code, the text written to stdout)."""
     buf = io.StringIO()
     old = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(doc))
+    sys.stdin = io.StringIO(text)
     try:
         from contextlib import redirect_stdout
         with redirect_stdout(buf):
             code = main(list(argv))
     finally:
         sys.stdin = old
-    return code, json.loads(buf.getvalue())
+    return code, buf.getvalue()
+
+
+def run_cli(doc, argv=()):
+    code, text = run_raw(json.dumps(doc), argv)
+    return code, json.loads(text)
 
 
 def series(n, terms, window=None):
@@ -113,18 +119,40 @@ def test_error_exit_codes():
     assert code == 2 and out["error"]["kind"] == "StabilityExhausted"
 
 
-@pytest.mark.parametrize("command, slot", [("cc", 2), ("nu", 1), ("tame", 2), ("decompose", 1)])
+@pytest.mark.parametrize("command, slot", [("cc", 2), ("nu", 1), ("tame", 2), ("decompose", 1),
+                                           ("witt-pair", 1)])
 def test_windowed_input_is_a_parse_error_naming_the_slot(command, slot):
     exact = series(1, [((1,), "1")])
     windowed = series(1, [((0,), "1"), ((1,), "1")], window={"lo": [0], "hi": [3]})
     doc = {"command": command, "ring": {"base": "Q"}, "n": 1}
     if command == "decompose":
         doc["series"] = windowed
+    elif command == "witt-pair":
+        doc.update(S=[1], f=[windowed], g={"coords": {"1": exact}})
     else:
         doc["tuple"] = [exact, windowed][2 - slot:] if command == "nu" else [exact, windowed]
     code, out = run_cli(doc)
     assert code == 1 and out["error"]["kind"] == "ParseError"
     assert out["error"]["detail"].startswith(f"{command}: slot {slot} is a windowed series")
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"command": ' + "1" * 5000 + "}"],
+                         ids=["nested_too_deep", "integer_too_long"])
+def test_undecodable_document_is_a_parse_error(text):
+    # json.loads raises RecursionError on the first, a plain ValueError on the second
+    code, out = run_raw(text)
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False and doc["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("text", ['{"command": "bogus"}', '{"command": "cc", "ring": '],
+                         ids=["unknown_command", "bad_json"])
+def test_json_pretty_indents_errors_raised_before_dispatch(text):
+    code, out = run_raw(text, ["--json-pretty"])
+    doc = json.loads(out)
+    assert code == 1 and doc["error"]["kind"] == "ParseError"
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_negative_generator_exponent_is_a_parse_error():
