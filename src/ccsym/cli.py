@@ -92,6 +92,13 @@ def _cmd_phi(doc):
             "weight_zero": check_weight_zero(series)["weight_zero"]}
 
 
+def _count(doc, key, default):
+    value = json_int(doc.get(key, default))
+    if value < 0:
+        raise ParseError(f"{key} must not be negative, got {value}")
+    return value
+
+
 def _cmd_check(doc):
     from .checks import SUITES, default_ring  # the check suites load for this command only
 
@@ -99,14 +106,14 @@ def _cmd_check(doc):
     if name not in SUITES:
         raise ParseError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     seed = json_int(doc.get("seed", 0))
-    trials = json_int(doc.get("trials", 20))
+    trials = _count(doc, "trials", 20)
     n = json_int(doc.get("n", 1))
     if name == "phi_integrality":
         report = SUITES[name](n=n, degree=json_int(doc.get("degree", 4)),
                               radius=json_int(doc.get("radius", 3)))
     elif name == "sgn_agreement":
-        report = SUITES[name](n=n, bound=json_int(doc.get("bound", 3)),
-                              samples=json_int(doc.get("samples", 10000)), seed=seed)
+        report = SUITES[name](n=n, bound=_count(doc, "bound", 3),
+                              samples=_count(doc, "samples", 10000), seed=seed)
     else:
         ring = _ring_from(doc) if "ring" in doc else default_ring()
         report = SUITES[name](ring, n=n, trials=trials, seed=seed)
@@ -147,7 +154,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        raw = open(args.file).read() if args.file else sys.stdin.read()
+        if args.file:
+            with open(args.file) as handle:
+                raw = handle.read()
+        else:
+            raw = sys.stdin.read()
         doc = _decode(raw)
         command = doc["command"]
         handler = _COMMANDS.get(command)

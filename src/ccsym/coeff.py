@@ -687,7 +687,7 @@ class Coef:
             raise UnsupportedRingError("exp needs a ring containing the rationals")
         if not self.is_nilpotent():
             raise NotInvertibleError("exp needs a nilpotent argument")
-        return _nil_series(self, lambda i: Fraction(1, math.factorial(i)))
+        return _nil_series(self, exp_coefficient)
 
     def log(self):
         if not self.ring.has_rationals():
@@ -695,7 +695,7 @@ class Coef:
         w = self - self.ring.one()
         if not w.is_nilpotent():
             raise NotInvertibleError("log needs an argument of the form 1 + nilpotent")
-        return _nil_series(w, lambda i: Fraction((-1) ** (i + 1), i) if i else 0)
+        return _nil_series(w, log_coefficient)
 
     def divide_by_int(self, k):
         """Return (self / k, integral) where ``integral`` records exactness
@@ -783,6 +783,16 @@ class _TermItems(ItemsView):
 
     def __iter__(self):
         return self._mapping._pairs()
+
+
+def log_coefficient(i):
+    """The coefficient of ``w^i`` in ``log(1 + w)``."""
+    return Fraction((-1) ** (i + 1), i) if i else 0
+
+
+def exp_coefficient(i):
+    """The coefficient of ``w^i`` in ``exp(w)``."""
+    return Fraction(1, math.factorial(i))
 
 
 def _nil_series(w, coef_at):

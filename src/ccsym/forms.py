@@ -168,10 +168,6 @@ def dlog_monomial(ring, n, nu) -> DiffForm:
         for j in range(1, n + 1) if nu[j - 1]})
 
 
-def _is_one(s):
-    return s.terms == {(0,) * s.n: s.ring.one()}
-
-
 def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     """d(f)/f as a degree-1 form, computed factorwise on the unit splitting.
 
@@ -181,7 +177,7 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     """
     nu, _, s = coarse_split(f)
     out = dlog_monomial(f.ring, f.n, nu)
-    if not _is_one(s):
+    if s != 1:
         out = out + d(s).scale(invert(s, window))
     return out
 
@@ -244,7 +240,7 @@ class _Factor:
             for j in range(1, s.n + 1):
                 if nu[j - 1]:
                     self.floors[(j,)] = _unit_vector(s.n, j, -1)
-            if not _is_one(s):
+            if s != 1:
                 self.low = expansion_floor(s - one(s.ring, s.n))
                 for l in s.terms:  # the support of d(s), read off s
                     for j in range(1, s.n + 1):
@@ -283,10 +279,9 @@ def certified_residues(terms):
 
     1. floors: each factor's certified floor, from its generator alone;
     2. ceilings: an expansion must reach the target minus the floors of the
-       other factors, in every summand of every wedge it enters (the logs of
-       a batch share one window, the highest any of them needs);
-    3. one evaluation: each expansion at its ceiling, and the last product
-       of each wedge accumulated at the target only.
+       other factors, in every summand of every wedge it enters;
+    3. one evaluation: each expansion at its own ceiling, and the last
+       product of each wedge accumulated at the target only.
 
     The ceilings cover the target by construction, so nothing is retried.
     A windowed input that cannot reach the target raises
@@ -326,16 +321,11 @@ def certified_residues(terms):
                         f"the residue at {target}")
         plans.append((chosen, live))
 
-    log_need = None
-    for f in factors.values():
-        if isinstance(f.source, Log) and f.need is not None:
-            log_need = _max_idx(log_need, f.need)
     values = {}
 
     def value(f):
         if id(f) not in values:
-            hi = log_need if isinstance(f.source, Log) else f.need
-            values[id(f)] = f.evaluate(hi or f.low)
+            values[id(f)] = f.evaluate(f.need or f.low)
         return values[id(f)]
 
     out = []
@@ -372,6 +362,9 @@ def form_from_json(ring: Ring, n: int, doc) -> DiffForm:
             if len(idx) != degree:
                 raise ParseError(f"basis tuple {idx} does not match degree {degree}")
             comps[idx] = series_from_json(ring, item["series"])
+            if comps[idx].n != n:
+                raise ParseError(f"component {idx} is a series in {comps[idx].n} "
+                                 f"variables; the form has n = {n}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad form document: {exc}") from exc
     return DiffForm._make(ring, n, degree, comps)

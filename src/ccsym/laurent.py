@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coef, Ring, json_int
+from .coeff import Coef, Ring, exp_coefficient, json_int, log_coefficient
 from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
@@ -419,7 +419,9 @@ def from_terms(ring, n, pairs, window=None):
         raw[l] = c if cur is None else cur + c
     if window is None:
         return LaurentElt._make(ring, n, raw)
-    raw = {l: c for l, c in raw.items() if _le_idx(window.lo, l)}
+    for l in raw:
+        if not _le_idx(window.lo, l):
+            raise ParseError(f"term at index {l} lies below the window floor {window.lo}")
     return LaurentElt._make(ring, n, raw, tuple(window.hi), tuple(window.lo))
 
 
@@ -710,22 +712,14 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    return _expand_series(f - one(f.ring, f.n),
-                          lambda i: Fraction((-1) ** (i + 1), i) if i else 0,
+    return _expand_series(f - one(f.ring, f.n), log_coefficient,
                           None if window is None else tuple(window.hi))
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    fact = [Fraction(1)]
-
-    def coeff(i):
-        while len(fact) <= i:
-            fact.append(fact[-1] / len(fact))
-        return fact[i]
-
-    return _expand_series(g, coeff, None if window is None else tuple(window.hi))
+    return _expand_series(g, exp_coefficient, None if window is None else tuple(window.hi))
 
 
 def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -753,13 +747,14 @@ def stable_coefficient(build, target):
     lo = tuple(min(-2, t - 1) for t in target)
     hi = tuple(max(2, t + 1) for t in target)
     for _ in range(7):
+        window = Window(lo, hi)
         try:
-            return build(Window(lo, hi)).coefficient(target)
+            return build(window).coefficient(target)
         except WindowExceededError as exc:
             last = exc
             lo, hi = tuple(2 * x for x in lo), tuple(2 * x for x in hi)
     raise StabilityExhaustedError(
-        f"no window up to {hi} certified the coefficient at {target} ({last.detail})")
+        f"no window up to {window.hi} certified the coefficient at {target} ({last.detail})")
 
 
 # -- serialization ---------------------------------------------------------------------

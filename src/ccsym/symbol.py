@@ -152,9 +152,7 @@ def cc(entries, want_trace=False):
         if trace is not None:
             trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
 
-    unit = {(0,) * n: ring.one()}
-    sharp = {i: s_part for i, (_, _, s_part) in enumerate(splits)
-             if s_part.terms != unit}
+    sharp = {i: s_part for i, (_, _, s_part) in enumerate(splits) if s_part != 1}
     subsets = []
     for mask in range(1, 1 << len(sharp)):
         idx = sorted(sharp)

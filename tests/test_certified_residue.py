@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ccsym import laurent
+from ccsym import forms, laurent
 from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.errors import ParseError, StabilityExhaustedError
@@ -107,6 +107,32 @@ def test_each_log_and_inverse_is_expanded_once_per_cc(expansions):
         assert len(expansions) == len(set(expansions)), expansions
         most = max(most, len(expansions))
     assert most >= 3
+
+
+def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
+    # cc(t (1 + t), t (1 + e/t)): log(1 + t) meets dlog(1 + e/t), whose floor
+    # is t^-3, and needs t^2; log(1 + e/t) meets only dt/t and needs t^0
+    e = Qe.gen("e")
+    f1 = from_terms(Qe, 1, [((1,), 1), ((2,), 1)])
+    f2 = from_terms(Qe, 1, [((1,), 1), ((0,), e)])
+    made, windows = [], {}
+
+    class Recorded(forms._Factor):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    def recorded(s, window=None):
+        windows[id(s)] = window.hi
+        return log_sharp(s, window)
+
+    monkeypatch.setattr(forms, "_Factor", Recorded)
+    monkeypatch.setattr(forms, "log_sharp", recorded)
+    value, trace = cc([f1, f2], want_trace=True)
+    needs = {id(f.source.s): f.need for f in made if isinstance(f.source, Log)}
+    assert windows == needs and sorted(needs.values()) == [(0,), (2,)]
+    assert str(value) == "1*e^1 + -1"
+    assert trace == ["monomial: (-1)^1", "sharp slots [1, 2]: exp(res) with res = -1*e^1"]
 
 
 def test_witt_coordinate_window_too_low_raises(Qe, expansions):

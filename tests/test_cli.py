@@ -193,6 +193,41 @@ def test_subprocess_entry(tmp_path):
     assert json.loads(proc.stdout)["value"] == "-1"
 
 
+def test_file_request_leaves_no_resource_warning(tmp_path):
+    # -X dev reports a file left open as a ResourceWarning on stderr
+    req = tmp_path / "req.json"
+    t = series(1, [((1,), "1")])
+    req.write_text(json.dumps({"command": "cc", "ring": {"base": "Q"}, "n": 1,
+                               "tuple": [t, t]}))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "ccsym.cli", "--file", str(req)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == "-1"
+
+
+def test_windowed_term_below_its_floor_is_a_parse_error():
+    below = series(1, [((-1,), "5")], window={"lo": [0], "hi": [3]})
+    code, out = run_cli({"command": "res", "ring": {"base": "Q"}, "n": 1,
+                         "form": {"degree": 1, "components": [{"dt": [1], "series": below}]}})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert "(-1,)" in out["error"]["detail"]
+
+
+def test_form_component_over_other_variable_count_is_a_parse_error():
+    code, out = run_cli({"command": "res", "ring": {"base": "Q"}, "n": 2,
+                         "form": {"degree": 2, "components": [
+                             {"dt": [1, 2], "series": series(1, [((-1,), "5")])}]}})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("suite, field", [("multilinear", "trials"), ("sgn_agreement", "samples"),
+                                          ("sgn_agreement", "bound")])
+def test_check_refuses_negative_counts(suite, field):
+    code, out = run_cli({"command": "check", "suite": suite, field: -3})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert field in out["error"]["detail"]
+
+
 def _cc_doc(ring, f, g):
     return {"command": "cc", "ring": ring, "n": 1, "tuple": [f, g]}
 

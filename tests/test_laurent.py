@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.errors import NotInvertibleError, NotSharpError, StabilityExhaustedError
+from ccsym.errors import (
+    NotInvertibleError,
+    NotSharpError,
+    ParseError,
+    StabilityExhaustedError,
+    WindowExceededError,
+)
 from ccsym.laurent import (
     LaurentElt,
     Window,
@@ -303,6 +309,19 @@ def test_stable_coefficient_lex_tail_exhausts(Q):
         stable_coefficient(lambda w: invert(f, w), (-1, -1))
 
 
+def test_stable_coefficient_names_the_last_window_tried():
+    tried = []
+
+    def build(window):
+        tried.append(window.hi)
+        raise WindowExceededError("never certified")
+
+    with pytest.raises(StabilityExhaustedError) as exc:
+        stable_coefficient(build, (0,))
+    assert tried[-1] == (128,)
+    assert exc.value.detail.startswith("no window up to (128,) certified")
+
+
 # -- serialization -----------------------------------------------------------------------------
 
 def test_series_json_round_trip(tower):
@@ -315,3 +334,8 @@ def test_series_json_round_trip(tower):
     g = invert(from_terms(tower, 1, [((0,), 1), ((1,), -1)]), Window.box((0,), (3,)))
     back = series_from_json(tower, g.to_json())
     assert back.terms == g.terms and back.hi == g.hi
+
+
+def test_windowed_term_below_its_floor_is_refused(Q):
+    with pytest.raises(ParseError, match=r"\(0, -2\)"):
+        from_terms(Q, 2, [((0, 0), 1), ((0, -2), 1)], Window.box((-1, -1), (2, 2)))
