@@ -160,6 +160,7 @@ class Ring:
         "_nil_guard",
         "_tshift",
         "_tbias",
+        "_top",
     )
 
     def __init__(self, spec: RingSpec):
@@ -217,6 +218,8 @@ class Ring:
             guard |= 1 << (shift + v)
             shift += v + 1
         self._tshift, _, self._tbias = fields.pop()
+        # a key whose top field reaches _top - t meets one of top field t in a dead product
+        self._top = max_nildeg + 2 * self._tbias + 1
         self._fields = tuple(fields)
         self._shifts = tuple(shift for shift, _, _ in fields)
         self._bias = bias
@@ -461,7 +464,7 @@ class Ring:
         return f"Ring({base}{'; ' + ', '.join(gens) if gens else ''})"
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.spec == other.spec
+        return self is other or (isinstance(other, Ring) and self.spec == other.spec)
 
     def __hash__(self):
         return hash(self.spec)
@@ -487,6 +490,31 @@ def _refuse_free_overflow(ring, key):
     if not key & ring._nil_guard:
         raise UnsupportedRingError(
             f"a free generator exponent exceeds {(1 << _FREE_BITS) - 1} in a product over {ring}")
+
+
+def mul_into(ring, out, xa, xb):
+    """Add the product of two packed elements into ``out`` (``{key: numerator}``).
+
+    ``xa`` and ``xb`` are ``(key, numerator)`` pairs; the longer one (``xa``
+    on a tie) must be sorted by key, and the caller keeps the denominator.
+    The nil degree is the top field, so sorted keys ascend by degree: each
+    pair of the shorter side meets only the prefix of the longer whose degree
+    keeps the product within the ring's maximum.  Dead keys are dropped, free
+    overflow refused, and ``out`` may keep zero numerators.
+    """
+    if len(xa) < len(xb):
+        xa, xb = xb, xa
+    tshift, bias, guard, top = ring._tshift, ring._bias, ring._guard, ring._top
+    get = out.get
+    for kb, sb in xb:
+        cut = bisect_left(xa, ((top - (kb >> tshift)) << tshift,))
+        kb -= bias
+        for ka, sa in xa[:cut]:
+            k = ka + kb
+            if k & guard:
+                _refuse_free_overflow(ring, k)
+                continue
+            out[k] = get(k, 0) + sa * sb
 
 
 class Coef:
@@ -594,31 +622,16 @@ class Coef:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ring = self.ring
+        if type(other) is not Coef or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._mono, other._mono
         if len(a) < len(b):
             a, b = b, a
-        tshift, bias, guard = ring._tshift, ring._bias, ring._guard
-        # The nil degree is the top field, so sorted keys ascend by degree:
-        # each term of the smaller side meets only the prefix of the larger
-        # whose degree keeps the product within the ring's maximum.
-        items = sorted(a.items())
-        top = ring._max_nildeg + 2 * ring._tbias + 1
         out = {}
-        get = out.get
-        for kb, sb in b.items():
-            cut = bisect_left(items, ((top - (kb >> tshift)) << tshift,))
-            kb -= bias
-            for ka, sa in items[:cut]:
-                k = ka + kb
-                if k & guard:
-                    _refuse_free_overflow(ring, k)
-                    continue
-                out[k] = get(k, 0) + sa * sb
-        return ring._element(out, self.den * other.den)
+        mul_into(self.ring, out, sorted(a.items()), b.items())
+        return self.ring._element(out, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -16,14 +16,23 @@ of the expansion generator has componentwise-nonnegative exponent (the
 "orthant" condition); generators with unit coefficients in mixed directions,
 such as ``1 - t1^-1*t2``, have lex-shaped tails that no box window can
 capture and are rejected with a stability error.
+
+Products and expansions share one flat route: each operand's coefficients
+become packed numerators over one denominator, every pair of terms inside
+the box adds its product into one accumulator per index through
+:func:`ccsym.coeff.mul_into`, and an expansion carries each power of its
+generator in that form, reduced, to the next one.  ``Coef`` objects are built
+only for the series returned; ``terms`` stays ``{index tuple: Coef}``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coef, Ring, exp_coefficient, json_int, log_coefficient
+from .coeff import Coef, Ring, exp_coefficient, json_int, log_coefficient, mul_into
 from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
@@ -58,19 +67,19 @@ def lex_negative(l):
 
 
 def _add_idx(l, m):
-    return tuple(a + b for a, b in zip(l, m))
+    return tuple(map(operator.add, l, m))
 
 
 def _sub_idx(l, m):
-    return tuple(a - b for a, b in zip(l, m))
+    return tuple(map(operator.sub, l, m))
 
 
 def _min_idx(l, m):
-    return tuple(min(a, b) for a, b in zip(l, m))
+    return tuple(map(min, l, m))
 
 
 def _le_idx(l, m):
-    return all(a <= b for a, b in zip(l, m))
+    return all(map(operator.le, l, m))
 
 
 @dataclass(frozen=True)
@@ -276,7 +285,15 @@ class LaurentElt:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Coef)):
-            other = self._coerce(other)
+            # a constant: compare the terms, without building a series
+            if isinstance(other, Coef):
+                self.ring.compatible(other.ring)
+            elif not isinstance(other, int) or (self.hi is None and len(self.terms) < 2):
+                other = self.ring.from_scalar(other)  # an int always coerces; a Fraction may not
+            else:
+                return False
+            return (self.hi is None and self.floor is None
+                    and self.terms == ({(0,) * self.n: other} if other else {}))
         if not isinstance(other, LaurentElt):
             return NotImplemented
         return (self.ring == other.ring and self.n == other.n and self.terms == other.terms
@@ -350,20 +367,78 @@ def _combine_hi_mul(a, b):
     return hi
 
 
-def _mul_terms(a, b, hi, lo=None):
-    """Product of term dicts on the box ``lo <= l <= hi`` (``None``: open side), zeros dropped."""
-    out = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
+def _numerators(c, den):
+    """The numerators of ``c`` over ``den`` (a multiple of ``c.den``), sorted by key."""
+    if c.den == den:
+        return sorted(c._mono.items())
+    f = den // c.den
+    return sorted((k, v * f) for k, v in c._mono.items())
+
+
+def _flat(terms):
+    """A term dict over one denominator: ``(den, {index: numerators sorted by key})``."""
+    den = math.lcm(*[c.den for c in terms.values()])
+    return den, {l: _numerators(c, den) for l, c in terms.items()}
+
+
+def _flat_product(ring, a, b, hi, lo):
+    """The product of flat term dicts on the box ``lo <= l <= hi`` (``None``:
+    open side), as ``{index: {key: numerator}}`` over the operands' two
+    denominators multiplied."""
+    acc = {}
+    for la, xa in a.items():
+        for lb, xb in b.items():
             l = _add_idx(la, lb)
             if (hi is not None and not _le_idx(l, hi)) or (lo is not None and not _le_idx(lo, l)):
                 continue
-            c = ca * cb
-            if not c:
-                continue
-            cur = out.get(l)
-            out[l] = c if cur is None else cur + c
-    return {l: c for l, c in out.items() if c}
+            out = acc.get(l)
+            if out is None:
+                out = acc[l] = {}
+            mul_into(ring, out, xa, xb)
+    return acc
+
+
+def _coefs(ring, acc, den):
+    """The nonzero canonical ``Coef`` of each accumulator over ``den``,
+    releasing each accumulator once it is converted."""
+    out = {}
+    for l in list(acc):
+        c = ring._element(acc.pop(l), den)
+        if c:
+            out[l] = c
+    return out
+
+
+def _carried(ring, acc, den):
+    """A power's accumulators over ``den`` as the flat operand of the next
+    product: residues mod m, or the gcd with ``den`` divided out, zero
+    numerators and empty indices dropped."""
+    m = ring.modulus
+    g = den
+    for out in acc.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *out.values())
+    power = {}
+    for l in list(acc):
+        out = acc.pop(l)
+        if m is None:
+            xs = sorted((k, v // g) for k, v in out.items() if v)
+        else:
+            xs = sorted((k, r) for k, v in out.items() if (r := v % m))
+        if xs:
+            power[l] = xs
+    return den // g, power
+
+
+def _mul_terms(a, b, hi, lo=None):
+    """Product of term dicts on the box ``lo <= l <= hi`` (``None``: open side), zeros dropped."""
+    if not a or not b:
+        return {}
+    ring = next(iter(a.values())).ring
+    da, fa = _flat(a)
+    db, fb = _flat(b)
+    return _coefs(ring, _flat_product(ring, fa, fb, hi, lo), da * db)
 
 
 def product_coefficient(a: LaurentElt, b: LaurentElt, l):
@@ -375,12 +450,16 @@ def product_coefficient(a: LaurentElt, b: LaurentElt, l):
     if hi is not None and not _le_idx(l, hi):
         raise WindowExceededError(
             f"coefficient at {l} lies outside the certified region (hi={hi})")
-    acc = a.ring.zero()
-    for la, ca in a.terms.items():
-        cb = b.terms.get(_sub_idx(l, la))
-        if cb is not None:
-            acc = acc + ca * cb
-    return acc
+    pairs = [(ca, cb) for la, ca in a.terms.items()
+             if (cb := b.terms.get(_sub_idx(l, la))) is not None]
+    if not pairs:
+        return a.ring.zero()
+    da = math.lcm(*[ca.den for ca, _ in pairs])
+    db = math.lcm(*[cb.den for _, cb in pairs])
+    out = {}
+    for ca, cb in pairs:
+        mul_into(a.ring, out, _numerators(ca, da), _numerators(cb, db))
+    return a.ring._element(out, da * db)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -660,28 +739,37 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
         c = coeff_at(i)
         return c if isinstance(c, Coef) else ring.from_scalar(c)
 
+    g_den, g_flat = _flat(g.terms)
     zero_idx = (0,) * n
-    acc = {zero_idx: scalar_at(0)}
-    p = {zero_idx: ring.one()}
+    s = scalar_at(0)
+    acc_den, acc = s.den, {zero_idx: dict(s._mono)}
+    den, p = 1, {zero_idx: [(ring._bias, 1)]}
     for i in range(1, budget + 1):
-        p = _mul_terms(p, g.terms, work_hi, work_lo)
+        den, p = _carried(ring, _flat_product(ring, p, g_flat, work_hi, work_lo), den * g_den)
         if not p:
             break
         s = scalar_at(i)
         if not s:
             continue
-        unit = s.is_one()
-        for l, c in p.items():
-            v = c if unit else c * s
-            if not v:
-                continue
-            cur = acc.get(l)
-            acc[l] = v if cur is None else cur + v
+        # add s * p to acc over the lcm of their denominators; the numerators
+        # of s are scaled to lcm / den, those of p are over den
+        lcm = math.lcm(acc_den, s.den * den)
+        if lcm != acc_den:
+            f = lcm // acc_den
+            for out in acc.values():
+                for k in out:
+                    out[k] *= f
+            acc_den = lcm
+        xs = _numerators(s, lcm // den)
+        for l, xp in p.items():
+            mul_into(ring, acc.setdefault(l, {}), xp, xs)
     # an exact or clipped sum is complete only once the next power leaves the box
-    if (exact or clipped) and _mul_terms(p, g.terms, work_hi, work_lo):
+    if (exact or clipped) and _carried(
+            ring, _flat_product(ring, p, g_flat, work_hi, work_lo), den * g_den)[1]:
         raise StabilityExhaustedError(
             "series coefficients exhausted before the expansion terminated")
-    return LaurentElt._make(ring, n, acc, None if exact else tuple(hi), work_lo)
+    return LaurentElt._make(ring, n, _coefs(ring, acc, acc_den), None if exact else tuple(hi),
+                            work_lo)
 
 
 def _geom(i):

@@ -91,11 +91,15 @@ class GhostVector:
 
 
 def ghost(w: WittVector) -> GhostVector:
+    powers = {}  # d -> [w_d, w_d^2, ...], each power the previous one times w_d
     out = {}
     for i in w.S:
         acc = None
         for d in _divisors(i):
-            term = w.coords[d] ** (i // d) * d
+            pw = powers.setdefault(d, [w.coords[d]])
+            while len(pw) < i // d:
+                pw.append(pw[-1] * w.coords[d])
+            term = pw[i // d - 1] * d
             acc = term if acc is None else acc + term
         out[i] = acc
     return GhostVector(w.S, out)

@@ -339,3 +339,42 @@ def test_series_json_round_trip(tower):
 def test_windowed_term_below_its_floor_is_refused(Q):
     with pytest.raises(ParseError, match=r"\(0, -2\)"):
         from_terms(Q, 2, [((0, 0), 1), ((0, -2), 1)], Window.box((-1, -1), (2, 2)))
+
+
+def test_equality_with_a_constant_keeps_its_answers_and_errors():
+    """``s == c`` for an int, Fraction or Coef ``c`` answers, or raises, as
+    comparing ``s`` with the exact constant series of ``c`` does."""
+    from ccsym.errors import EngineError, RingMismatchError, UnsupportedRingError
+
+    Q, Z = ring_new(RingSpec("Q", nil=(("e", 2),))), ring_new(RingSpec("Z", nil=(("e", 2),)))
+    Z9, other = ring_new(RingSpec(9)), ring_new(RingSpec("Q", nil=(("f", 2),)))
+
+    def by_series(s, c):
+        other = s._coerce(c)
+        return (s.ring == other.ring and s.n == other.n and s.terms == other.terms
+                and s.hi == other.hi and s.floor == other.floor)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except EngineError as exc:
+            return type(exc)
+
+    seen = []
+    for ring in (Q, Z, Z9):
+        e = ring.gen("e") if "e" in ring.gens else ring.from_scalar(3)
+        win = Window.box((0,), (2,))
+        cases = [zero(ring, 1), one(ring, 1), one(ring, 2), from_terms(ring, 1, [((0,), 2)]),
+                 from_terms(ring, 1, [((0,), e)]), from_terms(ring, 1, [((1,), 1)]),
+                 from_terms(ring, 1, [((0,), 1), ((1,), e)]), from_terms(ring, 1, [], win),
+                 from_terms(ring, 1, [((0,), 1)], win)]
+        values = [0, 1, 2, 9, -1, Fraction(1, 2), Fraction(1, 3), Fraction(4, 2), ring.one(),
+                  ring.zero(), e, ring.from_scalar(2), other.one()]
+        for s in cases:
+            for c in values:
+                want = outcome(lambda: by_series(s, c))
+                assert outcome(lambda: s == c) == want, (ring, s, c)
+                assert outcome(lambda: s != c) == (want if isinstance(want, type) else not want)
+                seen.append(want)
+    assert seen.count(True) >= 15
+    assert {UnsupportedRingError, NotInvertibleError, RingMismatchError} <= set(seen)

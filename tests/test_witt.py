@@ -5,7 +5,7 @@ import pytest
 
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.errors import InexactDivisionError, ParseError
-from ccsym.laurent import Window, from_terms, log_sharp, monomial, t_var, zero
+from ccsym.laurent import LaurentElt, Window, from_terms, log_sharp, monomial, t_var, zero
 from ccsym.witt import (
     GhostVector,
     IndexSet,
@@ -191,3 +191,38 @@ def test_witt_pair_over_modular_base():
     g = WittVector(s, {1: from_terms(z9, 1, [((0,), 5)]), 2: from_terms(z9, 1, [((0,), 2)])})
     out = witt_pair([t], g)
     assert out.coords[1] == z9.from_scalar(5) and out.coords[2] == z9.from_scalar(2)
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["exact", "windowed"])
+def test_ghost_builds_each_power_from_the_previous_one(tower, windowed, monkeypatch):
+    """Each ghost coordinate is ``sum_{d|i} d * w_d^(i/d)``; at S = {1..6} the
+    powers ``w_1^2..w_1^6``, ``w_2^2``, ``w_2^3`` and ``w_3^2`` cost 8 series
+    products, where raising each term to its power from 1 takes 33."""
+    rng = random.Random(5)
+    s = IndexSet.closure(range(1, 7))
+    window = Window.box((-1,), (4,)) if windowed else None
+    e1 = tower.gen("e1")
+    coords = {i: from_terms(tower, 1, [((rng.randint(0, 2),), rng.randint(-3, 3) + e1)
+                                       for _ in range(2)], window)
+              for i in s}
+    w = WittVector(s, coords)
+    want = {}
+    for i in s:
+        for d in s:
+            if i % d == 0:
+                term = coords[d] ** (i // d) * d
+                want[i] = term if i not in want else want[i] + term
+    products = []
+    real = LaurentElt.__mul__
+
+    def counted(a, b):
+        if isinstance(b, LaurentElt):
+            products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentElt, "__mul__", counted)
+    got = ghost(w).ghost
+    assert len(products) == 8
+    for i in s:
+        assert got[i] == want[i]
+        assert (got[i].hi, got[i].floor) == (want[i].hi, want[i].floor)
