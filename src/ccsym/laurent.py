@@ -431,14 +431,14 @@ def _carried(ring, acc, den):
     return den // g, power
 
 
-def _mul_terms(a, b, hi, lo=None):
-    """Product of term dicts on the box ``lo <= l <= hi`` (``None``: open side), zeros dropped."""
+def _mul_terms(a, b, hi):
+    """Product of term dicts on ``l <= hi`` (``None``: everywhere), zeros dropped."""
     if not a or not b:
         return {}
     ring = next(iter(a.values())).ring
     da, fa = _flat(a)
     db, fb = _flat(b)
-    return _coefs(ring, _flat_product(ring, fa, fb, hi, lo), da * db)
+    return _coefs(ring, _flat_product(ring, fa, fb, hi, None), da * db)
 
 
 def product_coefficient(a: LaurentElt, b: LaurentElt, l):
