@@ -623,6 +623,8 @@ class Coef:
 
     def __mul__(self, other):
         if type(other) is not Coef or other.ring is not self.ring:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(self.ring.scalar(other))
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -634,6 +636,18 @@ class Coef:
         return self.ring._element(out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, s):
+        """``self`` times the ring scalar ``s`` (see :meth:`Ring.scalar`):
+        the numerators are scaled, with no product kernel."""
+        ring = self.ring
+        if not s:
+            return ring.zero()
+        if ring.base == "Q":
+            num, den = s.numerator, self.den * s.denominator
+        else:
+            num, den = s, 1
+        return ring._element({k: v * num for k, v in self._mono.items()}, den)
 
     def __pow__(self, n):
         if n < 0:

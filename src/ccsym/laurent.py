@@ -15,7 +15,11 @@ the requested window.  Budgets exist only when every non-nilpotent monomial
 of the expansion generator has componentwise-nonnegative exponent (the
 "orthant" condition); generators with unit coefficients in mixed directions,
 such as ``1 - t1^-1*t2``, have lex-shaped tails that no box window can
-capture and are rejected with a stability error.
+capture and are rejected with a stability error.  Under a ceiling, each
+power of the generator keeps only the indices from which the factors still
+to come can return below it, so ``log``, ``exp`` and composition are
+windowed there even when the series terminates by nilpotency; an inverse
+that terminates so stays exact.
 
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
@@ -216,11 +220,14 @@ class LaurentElt:
 
     def __mul__(self, other):
         if isinstance(other, (Coef, int, Fraction)):
-            c = other if isinstance(other, Coef) else self.ring.from_scalar(other)
+            if isinstance(other, Coef):
+                c, scale = other, Coef.__mul__
+            else:
+                c, scale = self.ring.scalar(other), Coef._scaled
             if not c:
                 return zero(self.ring, self.n)
             return LaurentElt._make(self.ring, self.n,
-                                    {l: v * c for l, v in self.terms.items()},
+                                    {l: scale(v, c) for l, v in self.terms.items()},
                                     self.hi, self.floor)
         other = self._coerce(other)
         if other is NotImplemented:
@@ -699,17 +706,27 @@ def expansion_floor(g: LaurentElt):
     return _generator_parts(g)[2]
 
 
-def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
+def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=False):
     """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= hi}``.
 
     Non-nilpotent monomials of ``g`` must be lex-positive and componentwise
     nonnegative; their count inside any window is then bounded, nilpotent
     factors are bounded by the ring's nil index, and the partial products are
     evaluated on a padded work box that provably loses nothing below the
-    ceiling.  Returns an exact element whenever the series terminates by
-    nilpotency alone.  A windowed generator is accepted when its support
-    floor is componentwise nonnegative (no unknown term can then re-enter the
-    certified box); the result's ceiling shrinks to the generator's.
+    ceiling.  A generator with no unit coefficient terminates by nilpotency
+    alone: without a ceiling (or with ``keep_exact``) its sum is exact,
+    under one it is windowed with ``hi`` and the expansion floor.
+
+    Under a ceiling, ``g^i`` is cut at the highest index from which the
+    ``budget - i`` factors still to come can bring a term back to ``hi``:
+    each lowers ``t_j`` by at most the deepest negative ``t_j`` exponent of
+    a nilpotent term, and a nonzero product of them by at most the floor's
+    depth, which the work box already allows.  A clipped composition keeps
+    the whole work box for every power, since its termination test reads
+    the next power there.  ``c_i * g^i`` enters the sum only at ``<= hi``.
+    A windowed generator is accepted when its support floor is componentwise
+    nonnegative (no unknown term can then re-enter the certified box); the
+    result's ceiling shrinks to the generator's.
     """
     ring = g.ring
     n = g.n
@@ -717,7 +734,8 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     if g.hi is not None:
         hi = g.hi if hi is None else _min_idx(hi, g.hi)
     a_budget = ring.nil_index - 1
-    exact = not unit_idx and g.hi is None
+    terminating = not unit_idx and g.hi is None
+    exact = terminating and (hi is None or keep_exact)
     if exact:
         budget, work_lo, work_hi = a_budget, None, None
     elif hi is None:
@@ -725,15 +743,18 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     else:
         posnil = tuple(max((max(0, l[j]) for l in nil_idx), default=0) for j in range(n))
         posu = tuple(max((l[j] for l in unit_idx), default=0) for j in range(n))
-        b_budget = max(0, sum(hi) - sum(work_lo))
+        neg = tuple(max((max(0, -l[j]) for l in nil_idx), default=0) for j in range(n))
+        # unit factors raise the index sum; without unit terms there are none
+        b_budget = 0 if terminating else max(0, sum(hi) - sum(work_lo))
         budget = b_budget + a_budget
         work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j], hi[j] - work_lo[j])
                         for j in range(n))
     clipped = max_degree is not None and max_degree < budget
     if clipped:
         budget = max_degree
-    if not exact and budget > _EXPANSION_SANITY:
+    if not terminating and budget > _EXPANSION_SANITY:
         raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
+    cut = not (exact or clipped)
 
     def scalar_at(i):
         c = coeff_at(i)
@@ -744,8 +765,11 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
     s = scalar_at(0)
     acc_den, acc = s.den, {zero_idx: dict(s._mono)}
     den, p = 1, {zero_idx: [(ring._bias, 1)]}
+    top = work_hi
     for i in range(1, budget + 1):
-        den, p = _carried(ring, _flat_product(ring, p, g_flat, work_hi, work_lo), den * g_den)
+        if cut:
+            top = _min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)])
+        den, p = _carried(ring, _flat_product(ring, p, g_flat, top, work_lo), den * g_den)
         if not p:
             break
         s = scalar_at(i)
@@ -762,7 +786,8 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None):
             acc_den = lcm
         xs = _numerators(s, lcm // den)
         for l, xp in p.items():
-            mul_into(ring, acc.setdefault(l, {}), xp, xs)
+            if exact or _le_idx(l, hi):
+                mul_into(ring, acc.setdefault(l, {}), xp, xs)
     # an exact or clipped sum is complete only once the next power leaves the box
     if (exact or clipped) and _carried(
             ring, _flat_product(ring, p, g_flat, work_hi, work_lo), den * g_den)[1]:
@@ -781,8 +806,8 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
 
     The monomial and constant factors invert exactly; the sharp factor
     contributes a geometric series, which is itself exact whenever its
-    generator is elementwise nilpotent and otherwise runs under the
-    certified window protocol.
+    generator is elementwise nilpotent, window or not, and otherwise runs
+    under the certified window protocol.
     """
     nu, c, s = coarse_split(f)
     ring, n = f.ring, f.n
@@ -793,11 +818,17 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
         internal_hi = None
         if window is not None:
             internal_hi = tuple(window.hi[j] + nu[j] for j in range(n))
-        inv_s = _expand_series(g, _geom, internal_hi)
+        inv_s = _expand_series(g, _geom, internal_hi, keep_exact=True)
     return (inv_s * c.inverse()).shift(tuple(-x for x in nu))
 
 
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
+    """``log f`` for multiplicatively sharp ``f``: ``sum_i log_coefficient(i) * (f - 1)^i``.
+
+    Without a window the sum must terminate by nilpotency and is exact; with
+    one it is certified up to ``window.hi``, above the expansion floor of
+    ``f - 1``, also when it terminates.
+    """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
     return _expand_series(f - one(f.ring, f.n), log_coefficient,

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.errors import UnsupportedRingError
+from ccsym.errors import NotInvertibleError, UnsupportedRingError
+from ccsym.laurent import from_terms
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -233,6 +234,42 @@ def test_terms_view_contract(name):
             view[(0,) * len(ring.gens)] = 1
 
     check()
+
+
+@pytest.mark.parametrize("name", ["Q[e1^2, e2^3]", "Z[u; e^3]", "Z/9[e1^2, e2^2]"])
+def test_scalar_product_matches_the_general_product(name):
+    """``c * s`` for an int or ``Fraction`` scales the numerators; it equals
+    ``c * ring.from_scalar(s)`` (canonical, a scalar that is zero in the ring
+    giving zero) and refuses what ``from_scalar`` refuses, with its error."""
+    ring = RINGS[name]
+
+    @CHECK
+    @given(pairs(ring), st.integers(-20, 20) | st.sampled_from([9, -18, 27])
+           | st.fractions(-5, 5, max_denominator=6))
+    def check(ap, s):
+        a, _ = ap
+        try:
+            want = a * ring.from_scalar(s)
+        except (UnsupportedRingError, NotInvertibleError) as exc:
+            for scaled in (lambda: a * s, lambda: s * a):
+                with pytest.raises(type(exc)):
+                    scaled()
+            return
+        assert a * s == want == s * a
+        f = from_terms(ring, 1, [((0,), a)])
+        assert f * s == from_terms(ring, 1, [((0,), want)]) == s * f
+
+    check()
+    a = ring.make({(0,) * len(ring.gens): 2, (0,) * (len(ring.gens) - 1) + (1,): 1})
+    assert a * 0 == ring.zero() == a * Fraction(0)
+    if ring.modulus == 9:
+        assert a * 9 == ring.zero() and a * 3 != ring.zero()
+        assert a * Fraction(1, 2) == a * 5
+        with pytest.raises(NotInvertibleError):
+            a * Fraction(1, 3)
+    if ring.base == "Z":
+        with pytest.raises(UnsupportedRingError):
+            a * Fraction(1, 2)
 
 
 # -- free exponents ------------------------------------------------------------------------

@@ -105,14 +105,16 @@ def series(draw, ring, n):
 
 
 @st.composite
-def sharp_generators(draw, ring, n, constant=True):
+def sharp_generators(draw, ring, n, constant=True, nilpotent=False):
     """An exact expansion generator: unit coefficients only at lex-positive,
-    componentwise nonnegative indices, nilpotent ones elsewhere."""
+    componentwise nonnegative indices, nilpotent ones elsewhere; with
+    ``nilpotent``, nilpotent ones everywhere."""
     terms = {}
     for l in draw(st.lists(_indices(n, -1, 2), min_size=1, max_size=3, unique=True)):
         if l == (0,) * n and not constant:
             continue
-        free = laurent.lex_positive(l) and min(l) >= 0 and draw(st.booleans())
+        free = (not nilpotent and laurent.lex_positive(l) and min(l) >= 0
+                and draw(st.booleans()))
         c = draw(coefs(ring, nilpotent=not free))
         if c:
             terms[l] = c
@@ -276,6 +278,45 @@ def test_compose_series_matches_its_series(data):
     window = _window(data, g)
     assert_certified(compose_series(coeffs, g, window), g,
                      lambda i: coeffs[i] if i < len(coeffs) else 0)
+
+
+@CHECK
+@given(data=st.data())
+def test_a_nilpotent_generator_is_windowed_under_a_ceiling(data):
+    """Under a ceiling, ``log``, ``exp`` and composition of a generator with
+    no unit coefficient are windowed (the ceiling, the expansion floor) and
+    agree with the exact expansion at every index below it; the inverse of
+    the same generator stays exact."""
+    ring, n = data.draw(ring_and_n(CONNECTED))
+    g = data.draw(sharp_generators(ring, n, nilpotent=True))
+    hi = data.draw(_indices(n, -3, 2))
+    window = Window(tuple(min(h, -1) for h in hi), hi)
+    coeffs = data.draw(st.lists(_scalars(ring), min_size=60, max_size=60))
+    pairs = [(compose_series(coeffs, g, window), compose_series(coeffs, g))]
+    if ring.has_rationals():
+        pairs += [(log_sharp(g + 1, window), log_sharp(g + 1)),
+                  (exp_sharp(g, window), exp_sharp(g))]
+    floor = laurent.expansion_floor(g)
+    for got, want in pairs:
+        assert (got.hi, got.floor) == (hi, floor)
+        assert want.is_exact()
+        assert got.terms == {l: c for l, c in want.terms.items() if _le(l, hi)}
+    inv = invert(g + 1, window)
+    assert inv.is_exact() and inv == invert(g + 1)
+
+
+def test_a_term_above_the_ceiling_comes_back_to_it():
+    """``log(1 + e/t + e t^2)`` over ``Q[e]/(e^4)`` has ``e^3`` at ``t^0``, from
+    ``g^3``: ``3 e^3 = 3 * e t^2 * (e/t)^2``.  The powers ``g^1`` and ``g^2``
+    must keep ``t^2`` and ``t^1``, above the ceiling, for the factors still to
+    come."""
+    ring = ring_new(RingSpec("Q", nil=(("e", 4),)))
+    e = ring.gen("e")
+    f = from_terms(ring, 1, [((0,), 1), ((-1,), e), ((2,), e)])
+    got, want = log_sharp(f, Window((-3,), (0,))), log_sharp(f)
+    assert (got.hi, got.floor) == ((0,), (-3,))
+    assert got.coefficient((0,)) == e ** 3 == want.coefficient((0,))
+    assert got.terms == {l: c for l, c in want.terms.items() if l <= (0,)}
 
 
 @pytest.mark.parametrize("name", CONNECTED)
