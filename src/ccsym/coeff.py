@@ -367,16 +367,7 @@ class Ring:
 
     def extended(self, extra_nil):
         """Adjoin further nil generators; returns (new ring, embedding)."""
-        new = Ring(RingSpec(self.spec.base, self.spec.free,
-                            self.spec.nil + tuple(extra_nil), self.spec.nil_total_cap))
-        pad = (0,) * len(extra_nil)
-
-        def embed(x):
-            self.compatible(x.ring)
-            return Coef(new, {new._pack(self._decode(k) + pad): v for k, v in x._mono.items()},
-                        x.den)
-
-        return new, embed
+        return self._over(self.spec.base, extra_nil)
 
     # The layout ignores the base, so the maps below keep every key.
 
@@ -386,29 +377,35 @@ class Ring:
             return self, lambda x: x
         if self.base == "mod":
             raise UnsupportedRingError("cannot embed a modular ring into a Q-algebra")
-        new = Ring(RingSpec("Q", self.spec.free, self.spec.nil, self.spec.nil_total_cap))
-
-        def embed(x):
-            self.compatible(x.ring)
-            return Coef(new, x._mono)
-
-        return new, embed
+        return self._over("Q")
 
     def integer_lift(self):
         """For a modular base: the same presentation over Z, with lift/reduce maps."""
         if self.base != "mod":
             raise UnsupportedRingError("integer_lift expects a modular base")
-        new = Ring(RingSpec("Z", self.spec.free, self.spec.nil, self.spec.nil_total_cap))
-
-        def lift(x):
-            self.compatible(x.ring)
-            return Coef(new, x._mono)
+        new, lift = self._over("Z")
 
         def reduce(x):
             new.compatible(x.ring)
             return self._element(x._mono, 1)
 
         return new, lift, reduce
+
+    def _over(self, base, extra_nil=()):
+        """This presentation over ``base`` with ``extra_nil`` adjoined, and the
+        embedding; the layout ignores the base, so only adjoining moves keys."""
+        new = Ring(RingSpec(base, self.spec.free, self.spec.nil + tuple(extra_nil),
+                            self.spec.nil_total_cap))
+        pad = (0,) * len(extra_nil)
+
+        def embed(x):
+            self.compatible(x.ring)
+            if not pad:
+                return Coef(new, x._mono, x.den)
+            return Coef(new, {new._pack(self._decode(k) + pad): v for k, v in x._mono.items()},
+                        x.den)
+
+        return new, embed
 
     # -- parsing ------------------------------------------------------------
 

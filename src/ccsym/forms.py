@@ -12,6 +12,7 @@ that are expanded once, up to the ceiling the residue needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .coeff import Ring, json_int
@@ -23,6 +24,7 @@ from .laurent import (
     _le_idx,
     _min_idx,
     _sub_idx,
+    _unit_vector,
     coarse_split,
     expansion_floor,
     invert,
@@ -157,10 +159,6 @@ def wedge(w1, w2) -> DiffForm:
     return DiffForm._make(w1.ring, w1.n, w1.degree + w2.degree, raw)
 
 
-def _unit_vector(n, j, value=1):
-    return tuple(value if i == j - 1 else 0 for i in range(n))
-
-
 def dlog_monomial(ring, n, nu) -> DiffForm:
     """The exact 1-form ``sum_j nu_j dt_j / t_j``: dlog of the monomial ``t^nu``."""
     return DiffForm._make(ring, n, 1, {
@@ -251,7 +249,7 @@ class _Factor:
                     lo = _add_idx(lo, self.low)
                     self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
         else:
-            s = self.source = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
+            s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
             self.degree = s.degree
             for idx, part in s.comps.items():
                 self.floors[idx] = part._floor() or (0,) * s.n
@@ -259,10 +257,10 @@ class _Factor:
                     self.his[idx] = part.hi
         self.ring, self.n = s.ring, s.n
 
-    def evaluate(self, hi):
+    @cached_property
+    def form(self):
         """The factor as a form, its expansion certified up to ``hi``."""
-        if isinstance(self.source, DiffForm):
-            return self.source
+        hi = self.need or self.low
         window = None if self.low is None else Window(_min_idx(self.low, hi), hi)
         if isinstance(self.source, Log):
             return DiffForm.from_series(log_sharp(self.source.s, window))
@@ -321,23 +319,16 @@ def certified_residues(terms):
                         f"the residue at {target}")
         plans.append((chosen, live))
 
-    values = {}
-
-    def value(f):
-        if id(f) not in values:
-            values[id(f)] = f.evaluate(f.need or f.low)
-        return values[id(f)]
-
     out = []
     for chosen, live in plans:
         acc = chosen[0].ring.zero()
         if live:
-            form = value(chosen[0])
+            form = chosen[0].form
             for f in chosen[1:-1]:
-                form = wedge(form, value(f))
+                form = wedge(form, f.form)
             target = (-1,) * chosen[0].n
             for idx, a in form.comps.items():
-                for i, b in value(chosen[-1]).comps.items():
+                for i, b in chosen[-1].form.comps.items():
                     sign, _ = _merge_sign(idx, i)
                     if sign is not None:
                         c = product_coefficient(a, b, target)

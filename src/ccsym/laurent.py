@@ -86,6 +86,11 @@ def _le_idx(l, m):
     return all(map(operator.le, l, m))
 
 
+def _unit_vector(n, j, value=1):
+    """The index with ``value`` at ``t_j`` (1-based) and 0 elsewhere."""
+    return tuple(value if i == j - 1 else 0 for i in range(n))
+
+
 @dataclass(frozen=True)
 class Window:
     """A box ``[lo, hi]`` in Z^n; ``None`` in window positions means Exact."""
@@ -161,9 +166,7 @@ class LaurentElt:
 
     def coefficient(self, l):
         l = tuple(l)
-        if self.hi is not None and not _le_idx(l, self.hi):
-            raise WindowExceededError(
-                f"coefficient at {l} lies outside the certified region (hi={self.hi})")
+        _refuse_outside(l, self.hi)
         c = self.terms.get(l)
         return c if c is not None else self.ring.zero()
 
@@ -199,8 +202,8 @@ class LaurentElt:
         for l, c in other.terms.items():
             cur = raw.get(l)
             raw[l] = c if cur is None else cur + c
-        hi = _combine_hi_add(self, other)
-        floor = _combine_floor_add(self, other)
+        hi = _min_known(self.hi, other.hi)
+        floor = None if hi is None else _min_known(self._floor(), other._floor())
         return LaurentElt._make(self.ring, self.n, raw, hi, floor)
 
     __radd__ = __add__
@@ -232,11 +235,10 @@ class LaurentElt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if (self.is_exact() and not self.terms) or (other.is_exact() and not other.terms):
+        if self.is_zero() or other.is_zero():
             return zero(self.ring, self.n)
         hi = _combine_hi_mul(self, other)
-        fa, fb = self._floor(), other._floor()
-        floor = None if (fa is None or fb is None or hi is None) else _add_idx(fa, fb)
+        floor = None if hi is None else _add_idx(self._floor(), other._floor())
         return LaurentElt(self.ring, self.n, _mul_terms(self.terms, other.terms, hi), hi, floor)
 
     __rmul__ = __mul__
@@ -259,7 +261,7 @@ class LaurentElt:
 
     def partial(self, i):
         """d/dt_i, 1-based."""
-        e = tuple(1 if j == i - 1 else 0 for j in range(self.n))
+        e = _unit_vector(self.n, i)
         raw = {}
         for l, c in self.terms.items():
             if l[i - 1] == 0:
@@ -343,35 +345,19 @@ def _min_known(l, m):
     return m if l is None else l if m is None else _min_idx(l, m)
 
 
-def _combine_hi_add(a, b):
-    return _min_known(a.hi, b.hi)
-
-
-def _combine_floor_add(a, b):
-    if _combine_hi_add(a, b) is None:
-        return None
-    return _min_known(a._floor(), b._floor())
-
-
 def _combine_hi_mul(a, b):
     """Trust ceiling of a product: every contributing split must be covered."""
-    if a.hi is None and b.hi is None:
-        return None
-    bounds = []
-    if a.hi is not None:
-        fb = b._floor()
-        if fb is None:
-            fb = (0,) * b.n
-        bounds.append(_add_idx(a.hi, fb))
-    if b.hi is not None:
-        fa = a._floor()
-        if fa is None:
-            fa = (0,) * a.n
-        bounds.append(_add_idx(b.hi, fa))
-    hi = bounds[0]
-    for other in bounds[1:]:
-        hi = _min_idx(hi, other)
-    return hi
+    # neither side is the exact zero, the one series without a floor
+    bound_a = None if a.hi is None else _add_idx(a.hi, b._floor())
+    bound_b = None if b.hi is None else _add_idx(b.hi, a._floor())
+    return _min_known(bound_a, bound_b)
+
+
+def _refuse_outside(l, hi):
+    """Refuse to read index ``l`` of a value certified on ``{tau <= hi}``."""
+    if hi is not None and not _le_idx(l, hi):
+        raise WindowExceededError(
+            f"coefficient at {l} lies outside the certified region (hi={hi})")
 
 
 def _numerators(c, den):
@@ -451,12 +437,9 @@ def _mul_terms(a, b, hi):
 def product_coefficient(a: LaurentElt, b: LaurentElt, l):
     """The certified coefficient of ``a * b`` at ``l``, without forming the product."""
     l = tuple(l)
-    if (a.is_exact() and not a.terms) or (b.is_exact() and not b.terms):
+    if a.is_zero() or b.is_zero():
         return a.ring.zero()
-    hi = _combine_hi_mul(a, b)
-    if hi is not None and not _le_idx(l, hi):
-        raise WindowExceededError(
-            f"coefficient at {l} lies outside the certified region (hi={hi})")
+    _refuse_outside(l, _combine_hi_mul(a, b))
     pairs = [(ca, cb) for la, ca in a.terms.items()
              if (cb := b.terms.get(_sub_idx(l, la))) is not None]
     if not pairs:
@@ -488,7 +471,7 @@ def t_var(ring, n, j):
     """The variable t_j, 1-based."""
     if not 1 <= j <= n:
         raise ParseError(f"t_{j} is not one of t_1..t_{n}")
-    return monomial(ring, n, tuple(1 if i == j - 1 else 0 for i in range(n)))
+    return monomial(ring, n, _unit_vector(n, j))
 
 
 def from_terms(ring, n, pairs, window=None):
@@ -653,15 +636,16 @@ def _generator_parts(g: LaurentElt):
     Raises for the generators no box window can expand, as the expansion
     itself would: ``NotSharpError`` unless ``g`` is additively sharp.
     """
-    if not g.is_sharp_add():
-        raise NotSharpError(f"expansion generator {g} is not additively sharp")
-    if g.hi is not None and any(x < 0 for x in g._floor() or (0,) * g.n):
-        raise StabilityExhaustedError(
-            "cannot expand over a windowed generator with negative support floor")
     unit_idx = []
     nil_idx = []
     for l, c in g.terms.items():
         (nil_idx if c.is_nilpotent() else unit_idx).append(l)
+    zero_key = (0,) * g.n
+    if any(lex_key(l) <= zero_key for l in unit_idx):
+        raise NotSharpError(f"expansion generator {g} is not additively sharp")
+    if g.hi is not None and any(x < 0 for x in g.floor):
+        raise StabilityExhaustedError(
+            "cannot expand over a windowed generator with negative support floor")
     if any(x < 0 for l in unit_idx for x in l):
         raise StabilityExhaustedError(
             "expansion generator has a unit coefficient in a mixed lex direction; "
