@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .coeff import RingSpec, json_int, ring_new
+from .coeff import RingSpec, json_int, json_object, ring_new
 from .errors import EngineError, ParseError
 from .forms import form_from_json, res
 from .laurent import Window, decompose, series_from_json, window_from_json
@@ -68,7 +68,8 @@ def _cmd_witt_pair(doc):
     ring = _ring_from(doc)
     fs = _series_list(ring, doc["f"])
     index_set = IndexSet(tuple(sorted(json_int(i) for i in doc["S"])))
-    coords = {json_int(i): series_from_json(ring, s) for i, s in doc["g"]["coords"].items()}
+    coords = {json_int(i): series_from_json(ring, s)
+              for i, s in json_object(doc["g"]["coords"], "g.coords").items()}
     vector = WittVector(index_set, coords)
     out = witt_pair(fs, vector)
     ghosts = ghost(out)

@@ -76,13 +76,17 @@ class RingSpec:
 
     @staticmethod
     def from_json(doc):
+        json_object(doc, "the ring")
         try:
             base = doc.get("base", "Q")
             if isinstance(base, dict):
                 base = base["mod"]
             if base not in ("Q", "Z"):
                 base = json_int(base)
-            free = tuple(doc.get("free", ()))
+            free = doc.get("free", [])
+            if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
+                raise ParseError("free must be a list of generator names")
+            free = tuple(free)
             nil = tuple((str(n), json_int(d)) for n, d in doc.get("nil", ()))
             cap = doc.get("nil_total_cap")
             cap = None if cap is None else json_int(cap)
@@ -97,6 +101,13 @@ def json_int(value):
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ParseError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_object(doc, what):
+    """``doc`` if it is a JSON object; otherwise a ``ParseError`` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 # Miller-Rabin with the first 13 prime bases is deterministic below this
@@ -420,6 +431,8 @@ class Ring:
 
     def parse_coef(self, text):
         """Inverse of ``str(coef)``; accepts e.g. ``"3/2*e^1*u^2 + 1"``."""
+        if not isinstance(text, str):
+            raise ParseError(f"a coefficient must be a string, got {type(text).__name__}")
         text = text.strip()
         if not text:
             raise ParseError("empty coefficient string")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import Ring, json_int
+from .coeff import Ring, json_int, json_object
 from .errors import ParseError, RingMismatchError, StabilityExhaustedError
 from .laurent import (
     LaurentElt,
@@ -343,6 +343,7 @@ def certified_residue(g, slots):
 
 
 def form_from_json(ring: Ring, n: int, doc) -> DiffForm:
+    json_object(doc, "the form")
     try:
         degree = json_int(doc["degree"])
         comps = {}

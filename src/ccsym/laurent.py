@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coef, Ring, exp_coefficient, json_int, log_coefficient, mul_into
+from .coeff import Coef, Ring, exp_coefficient, json_int, json_object, log_coefficient, mul_into
 from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
@@ -863,6 +863,7 @@ def stable_coefficient(build, target):
 # -- serialization ---------------------------------------------------------------------
 
 def series_from_json(ring: Ring, doc) -> LaurentElt:
+    json_object(doc, "a series")
     try:
         n = json_int(doc["n"])
         pairs = [(tuple(json_int(x) for x in t["exp"]), ring.parse_coef(t["coef"]))

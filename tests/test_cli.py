@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -275,3 +277,77 @@ def test_dropped_flags_are_refused():
     with pytest.raises(SystemExit):
         run_cli({"command": "cc", "ring": {"base": "Q"}, "n": 1, "tuple": [t, t]},
                 ["--seed", "3"])
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def _json_paths(node, prefix=()):
+    """Every path below ``node`` to an object member or array element."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def test_a_value_of_the_wrong_json_type_answers_json():
+    """Each field of each golden request but ``command``, replaced by each of
+    ``[]``, ``{}``, ``1``, ``"x"``, ``null``, ``true`` and ``-1``, ends in one
+    JSON line: ``ok`` with exit 0 when the request is still valid (an unused
+    or optional field), else a typed error with exit 1 or 2, never a
+    traceback."""
+    failures = []
+    for case in GOLDEN:
+        for path in _json_paths(case["request"]):
+            if path == ("command",):
+                continue
+            for value in ([], {}, 1, "x", None, True, -1):
+                doc = copy.deepcopy(case["request"])
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    code, text = run_raw(json.dumps(doc))
+                    out = json.loads(text)
+                    assert text.count("\n") == 1
+                    if code == 0:
+                        assert out["ok"] is True
+                    else:
+                        assert code in (1, 2) and out["ok"] is False and out["error"]["kind"]
+                except Exception as exc:  # a traceback too: collected, reported below
+                    failures.append((case["name"], path, value, repr(exc)))
+    assert not failures, f"{len(failures)} requests: {failures[:5]}"
+
+
+@pytest.mark.parametrize("ring, detail", [
+    ([], "the ring must be a JSON object"),
+    ({"base": "Q", "free": "uv"}, "free must be a list of generator names"),
+    ({"base": "Q", "free": [1]}, "free must be a list of generator names"),
+], ids=["ring_list", "free_string", "free_number"])
+def test_a_malformed_ring_is_a_parse_error(ring, detail):
+    t = series(1, [((1,), "1")])
+    code, out = run_cli({"command": "cc", "ring": ring, "n": 1, "tuple": [t, t]})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert out["error"]["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("series", [], "a series must be a JSON object"),
+    ("coef", 1, "a coefficient must be a string"),
+    ("coords", [], "g.coords must be a JSON object"),
+], ids=["series", "coef", "coords"])
+def test_a_malformed_document_names_it(field, value, detail):
+    t = series(1, [((1,), "1")])
+    doc = {"command": "witt-pair", "ring": {"base": "Q"}, "n": 1, "S": [1], "f": [t],
+           "g": {"coords": {"1": t}}}
+    if field == "series":
+        doc["f"] = [value]
+    elif field == "coef":
+        t["terms"][0]["coef"] = value
+    else:
+        doc["g"]["coords"] = value
+    code, out = run_cli(doc)
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert out["error"]["detail"].startswith(detail)

@@ -8,10 +8,12 @@ composition or a certified residue.
 
 import pytest
 
-from ccsym.errors import NotSharpError, ParseError
+from ccsym.coeff import RingSpec, ring_new
+from ccsym.errors import NotSharpError, ParseError, UnsupportedRingError
 from ccsym.forms import Dlog, Log, certified_residue, dlog
 from ccsym.laurent import (
     Window,
+    _generator_parts,
     compose_series,
     exp_sharp,
     from_terms,
@@ -48,3 +50,18 @@ def test_non_sharp_generator_is_not_sharp(Q, call):
     s = t_var(Q, 1, 1) + 2  # constant 2: 1 + (1 + t) is not multiplicatively sharp
     with pytest.raises(NotSharpError):
         call(s)
+
+
+def test_a_windowed_generator_is_judged_sharp_before_its_floor(Q):
+    """``1 + t^-1`` has a unit at a lex-negative index and a negative floor:
+    it is refused as not sharp, not as unexpandable over that floor."""
+    g = from_terms(Q, 1, [((0,), 1), ((-1,), 1)], Window((-2,), (3,)))
+    with pytest.raises(NotSharpError):
+        _generator_parts(g)
+
+
+def test_a_generator_over_a_disconnected_ring_is_refused():
+    """Over Z/6 nilpotence is undecided, even for lex-positive terms only."""
+    ring = ring_new(RingSpec(6))
+    with pytest.raises(UnsupportedRingError):
+        _generator_parts(t_var(ring, 1, 1))

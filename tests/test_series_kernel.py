@@ -8,6 +8,7 @@ can bring a term back below the window's ceiling.  Hypothesis drives the
 random series; without it these tests are skipped.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from ccsym.laurent import (
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-given, settings = hypothesis.given, hypothesis.settings
+example, given, settings = hypothesis.example, hypothesis.given, hypothesis.settings
 
 RINGS = {
     "Q[e1^2, e2^3]": ring_new(RingSpec("Q", nil=(("e1", 2), ("e2", 3)))),
@@ -126,6 +127,37 @@ def ring_and_n(draw, names):
     return RINGS[draw(st.sampled_from(names))], draw(st.integers(1, 2))
 
 
+class Replay:
+    """The draws of a falsifying example, as ``@example(data=Replay(...))``.
+
+    Each ``draw`` returns the next value, cycling, so every run of the test
+    must draw all of them.  The values carry their own ring: a test
+    parametrized by ring runs the example under each of its names.
+    """
+
+    def __init__(self, *draws):
+        self.draws = draws
+        self._next = itertools.cycle(draws)
+
+    def draw(self, strategy, label=None):
+        return next(self._next)
+
+    def __repr__(self):
+        return f"Replay{self.draws!r}"
+
+
+# Falsifying examples of mutants of the kernel, replayed before any random
+# case so that such a regression reports at once instead of after shrinking.
+_QE, _QUVE = RINGS["Q[e1^2, e2^3]"], RINGS["Q[u, v; e^4]"]
+# the box test strict at hi in _flat_product drops t * 1 at hi = (1,)
+BOX_AT_HI = Replay(1, {(1,): _QE.one()}, {(0,): _QE.one()}, (1,))
+# the sum of _expand_series skipping l == hi loses 2*e1 at t^0 of 1 / (1 + e1/t + t)
+SUM_AT_HI = Replay((_QE, 1), from_terms(_QE, 1, [((-1,), _QE.gen("e1")), ((1,), 1)]), (0,))
+# each power of log(1 + e/t + e) cut one factor too low loses e^3/3 at t^0
+_E = _QUVE.gen("e")
+CEILING = Replay((_QUVE, 1), from_terms(_QUVE, 1, [((-1,), _E), ((0,), _E)]), False, (0,))
+
+
 # -- the schoolbook reference ------------------------------------------------------------
 
 def _le(l, m):
@@ -198,6 +230,7 @@ def assert_certified(result, g, coeff_at):
 
 @pytest.mark.parametrize("name", RINGS)
 @PER_RING
+@example(data=BOX_AT_HI)
 @given(data=st.data())
 def test_mul_terms_matches_the_reference(name, data):
     ring, n = RINGS[name], data.draw(st.integers(1, 2))
@@ -251,6 +284,7 @@ def _window(data, g):
 
 
 @CHECK
+@example(data=SUM_AT_HI)
 @given(data=st.data())
 def test_invert_matches_the_geometric_series(data):
     ring, n = data.draw(ring_and_n(CONNECTED))
@@ -260,6 +294,7 @@ def test_invert_matches_the_geometric_series(data):
 
 
 @CHECK
+@example(data=CEILING)
 @given(data=st.data())
 def test_log_and_exp_match_their_series(data):
     ring, n = data.draw(ring_and_n(RATIONAL))
