@@ -86,13 +86,12 @@ class RingSpec:
             free = doc.get("free", [])
             if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
                 raise ParseError("free must be a list of generator names")
-            free = tuple(free)
             nil = tuple((str(n), json_int(d)) for n, d in doc.get("nil", ()))
             cap = doc.get("nil_total_cap")
             cap = None if cap is None else json_int(cap)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad ring spec: {exc}") from exc
-        return RingSpec(base=base, free=free, nil=nil, nil_total_cap=cap)
+        return RingSpec(base=base, free=tuple(free), nil=nil, nil_total_cap=cap)
 
 
 def json_int(value):
