@@ -86,12 +86,17 @@ class RingSpec:
             free = doc.get("free", [])
             if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
                 raise ParseError("free must be a list of generator names")
-            nil = tuple((str(n), json_int(d)) for n, d in doc.get("nil", ()))
+            nil = []
+            for item in json_list(doc.get("nil", []), "nil"):
+                name, order = json_list(item, "a nil generator")
+                if not isinstance(name, str):
+                    raise ParseError(f"a nil generator name must be a string, got {name!r}")
+                nil.append((name, json_int(order)))
             cap = doc.get("nil_total_cap")
             cap = None if cap is None else json_int(cap)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad ring spec: {exc}") from exc
-        return RingSpec(base=base, free=tuple(free), nil=nil, nil_total_cap=cap)
+        return RingSpec(base=base, free=tuple(free), nil=tuple(nil), nil_total_cap=cap)
 
 
 def json_int(value):
@@ -106,6 +111,13 @@ def json_object(doc, what):
     """``doc`` if it is a JSON object; otherwise a ``ParseError`` naming ``what``."""
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_list(doc, what):
+    """``doc`` if it is a JSON array; otherwise a ``ParseError`` naming ``what``."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{what} must be a JSON array, got {type(doc).__name__}")
     return doc
 
 

@@ -6,7 +6,10 @@ The module provides the de Rham differential, wedge products, ``dlog`` of an
 invertible series, and the n-dimensional residue (the coefficient of
 ``t_1^-1 ... t_n^-1 dt_1 ^ ... ^ dt_n``), read either off a given form or,
 through ``certified_residue``, off a wedge of ``log`` and ``dlog`` factors
-that are expanded once, up to the ceiling the residue needs.
+that are expanded once, on the band the residue reads: up to the ceiling
+the floors of the other factors leave, and down to the band floor their
+tops leave.  A banded expansion is exact on its band only, so it stays
+inside ``certified_residues``.
 """
 
 from __future__ import annotations
@@ -15,18 +18,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import Ring, json_int, json_object
+from .coeff import Ring, json_int, json_list, json_object
 from .errors import ParseError, RingMismatchError, StabilityExhaustedError
 from .laurent import (
     LaurentElt,
     Window,
+    _Planned,
     _add_idx,
+    _generator_parts,
     _le_idx,
     _min_idx,
     _sub_idx,
     _unit_vector,
     coarse_split,
-    expansion_floor,
     invert,
     log_sharp,
     monomial,
@@ -212,40 +216,46 @@ class Dlog:
 
 
 def _max_idx(l, m):
-    return m if l is None else tuple(max(a, b) for a, b in zip(l, m))
+    return m if l is None else tuple(map(max, l, m))
 
 
 class _Factor:
     """One factor of a residue, described before anything is expanded.
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
-    ``dt_i``) to its certified floor.  ``inner`` maps the components holding
-    the factor's expansion (a log or an inverse, of floor ``low``) to the
-    floor of what multiplies it there; ``need`` gathers the ceiling that
-    expansion must reach.  ``his`` are the ceilings of a windowed input.
+    ``dt_i``) to its certified floor, and ``tops`` to the top of its stored
+    terms, outside the factor's expansion until ``add_expansion_tops``.  The
+    expansion is a log or an inverse; ``parts`` are its generator's
+    ``_generator_parts``, computed once here, and ``low`` its floor.
+    ``inner`` maps the components holding it to the floor and the top of
+    what multiplies it there; ``need`` gathers the ceiling it must reach and
+    ``band`` the lowest index a read of it reaches.  ``his`` are the
+    ceilings of a windowed input.
     """
 
     def __init__(self, x):
-        self.source, self.floors, self.inner, self.his = x, {}, {}, {}
-        self.low = self.need = None
+        self.source, self.floors, self.tops, self.inner, self.his = x, {}, {}, {}, {}
+        self.parts = self.low = self.need = self.band = None
         if isinstance(x, Log):
             s, self.degree = x.s, 0
-            self.low = self.floors[()] = expansion_floor(s - one(s.ring, s.n))
-            self.inner[()] = (0,) * s.n
+            self._expands(s)
+            self.floors[()] = self.low
+            self.inner[()] = ((0,) * s.n,) * 2
         elif isinstance(x, Dlog):
             nu, _, s = coarse_split(x.f)
             self.degree = 1
             for j in range(1, s.n + 1):
                 if nu[j - 1]:
-                    self.floors[(j,)] = _unit_vector(s.n, j, -1)
+                    self.floors[(j,)] = self.tops[(j,)] = _unit_vector(s.n, j, -1)
             if s != 1:
-                self.low = expansion_floor(s - one(s.ring, s.n))
-                for l in s.terms:  # the support of d(s), read off s
-                    for j in range(1, s.n + 1):
-                        if l[j - 1]:
-                            lo = _sub_idx(l, _unit_vector(s.n, j))
-                            self.inner[(j,)] = _min_idx(self.inner.get((j,), lo), lo)
-                for idx, lo in self.inner.items():
+                self._expands(s)
+                for j in range(1, s.n + 1):  # the support of d(s), read off s
+                    e = _unit_vector(s.n, j)
+                    support = [_sub_idx(l, e) for l in s.terms if l[j - 1]]
+                    if support:
+                        coords = list(zip(*support))
+                        self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
+                for idx, (lo, _) in self.inner.items():
                     lo = _add_idx(lo, self.low)
                     self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
         else:
@@ -254,14 +264,44 @@ class _Factor:
             for idx, part in s.comps.items():
                 self.floors[idx] = part._floor() or (0,) * s.n
                 if part.hi is not None:
-                    self.his[idx] = part.hi
+                    self.tops[idx] = self.his[idx] = part.hi
+                else:
+                    self.tops[idx] = tuple(map(max, zip(*part.terms)))
         self.ring, self.n = s.ring, s.n
+
+    def _expands(self, s):
+        self.parts = _generator_parts(s - one(s.ring, s.n))
+        self.low = self.parts[2]
+
+    @property
+    def ceiling(self):
+        return self.need or self.low
+
+    def add_expansion_tops(self):
+        """Once ``need`` is fixed, add the expansion to ``tops``.  Its own top
+        is its ceiling, but an inverse that terminates by nilpotency is exact:
+        a sum of products of at most ``nil_index - 1`` nilpotent terms."""
+        if not self.inner:
+            return
+        unit_idx, nil_idx, _ = self.parts
+        if isinstance(self.source, Dlog) and not unit_idx:
+            depth = self.ring.nil_index - 1
+            reach = tuple(depth * max((max(0, l[j]) for l in nil_idx), default=0)
+                          for j in range(self.n))
+        else:
+            reach = self.ceiling
+        for idx, (_, top) in self.inner.items():
+            self.tops[idx] = _max_idx(self.tops.get(idx), _add_idx(top, reach))
 
     @cached_property
     def form(self):
-        """The factor as a form, its expansion certified up to ``hi``."""
-        hi = self.need or self.low
-        window = None if self.low is None else Window(_min_idx(self.low, hi), hi)
+        """The factor as a form, its expansion certified up to its ceiling
+        and banded: exact from ``band`` up only, so it never leaves here."""
+        hi, band = self.ceiling, self.band
+        if band is not None and _le_idx(band, self.low):
+            band = None  # the expansion holds nothing below its floor: no cut
+        window = None if self.parts is None else \
+            _Planned(_min_idx(self.low, hi), hi, band, self.parts)
         if isinstance(self.source, Log):
             return DiffForm.from_series(log_sharp(self.source.s, window))
         return dlog(self.source.f, window)
@@ -273,16 +313,25 @@ def certified_residues(terms):
     ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
     Series and forms are taken as given, exact or windowed; each ``Log`` and
     ``Dlog`` is expanded once for the whole batch (factors are shared by
-    identity), up to the ceiling the target ``(-1, ..., -1)`` needs:
+    identity), on the band the target ``(-1, ..., -1)`` reads:
 
     1. floors: each factor's certified floor, from its generator alone;
     2. ceilings: an expansion must reach the target minus the floors of the
        other factors, in every summand of every wedge it enters;
-    3. one evaluation: each expansion at its own ceiling, and the last
-       product of each wedge accumulated at the target only.
+    3. bands: with every ceiling fixed, each component has a top (its
+       support maximum or ceiling, or for a ``Dlog`` that of ``d(s)`` plus
+       that of the inverse), and an expansion is read no lower than the
+       target minus the tops of the other factors and of what multiplies it
+       inside, in every summand it enters;
+    4. one evaluation: each expansion at its own ceiling, cut below its
+       band, and the last product of each wedge accumulated at the target
+       only, the last factor not evaluated when the wedge before it holds
+       no stored term.
 
-    The ceilings cover the target by construction, so nothing is retried.
-    A windowed input that cannot reach the target raises
+    Below its band an expansion reads zero where its true coefficients are
+    not, but no summand can reach there; such a value lives only inside this
+    routine.  The ceilings cover the target by construction, so nothing is
+    retried.  A windowed input that cannot reach the target raises
     ``StabilityExhaustedError`` before anything is expanded.
     """
     factors, plans = {}, []
@@ -299,35 +348,49 @@ def certified_residues(terms):
             chosen.append(factors[id(x)])
         if not slots or any(f.n != n for f in chosen):
             raise ParseError(f"a residue over {chosen[0].n} variables takes as many 1-forms")
-        live = False
+        summands = []
         for perm in permutations(range(1, n + 1)):
             idxs = [()] + [(i,) for i in perm]
             floors = [f.floors.get(idx) for f, idx in zip(chosen, idxs)]
             if None in floors:
                 continue
-            live = True
-            total = target
-            for fl in floors:
-                total = _sub_idx(total, fl)
+            summands.append(idxs)
+            total = _sub_idx(target, map(sum, zip(*floors)))
             for f, idx, fl in zip(chosen, idxs, floors):
                 need = _add_idx(total, fl)  # the target minus the other factors' floors
                 if idx in f.inner:
-                    f.need = _max_idx(f.need, _sub_idx(need, f.inner[idx]))
+                    f.need = _max_idx(f.need, _sub_idx(need, f.inner[idx][0]))
                 if idx in f.his and not _le_idx(need, f.his[idx]):
                     raise StabilityExhaustedError(
                         f"a windowed factor certified up to {f.his[idx]} cannot reach "
                         f"the residue at {target}")
-        plans.append((chosen, live))
+        plans.append((chosen, summands))
+
+    for f in factors.values():
+        f.add_expansion_tops()
+    for chosen, summands in plans:
+        target = (-1,) * chosen[0].n
+        for idxs in summands:
+            tops = [f.tops[idx] for f, idx in zip(chosen, idxs)]
+            total = _sub_idx(target, map(sum, zip(*tops)))
+            for f, idx, top in zip(chosen, idxs, tops):
+                if idx in f.inner:
+                    # the target minus the tops of the other factors and of
+                    # what multiplies the expansion inside
+                    band = _sub_idx(_add_idx(total, top), f.inner[idx][1])
+                    f.band = band if f.band is None else _min_idx(f.band, band)
 
     out = []
-    for chosen, live in plans:
+    for chosen, summands in plans:
         acc = chosen[0].ring.zero()
-        if live:
+        if summands:
             form = chosen[0].form
             for f in chosen[1:-1]:
                 form = wedge(form, f.form)
             target = (-1,) * chosen[0].n
             for idx, a in form.comps.items():
+                if not a.terms:
+                    continue  # a zero: the last factor is evaluated only for a term
                 for i, b in chosen[-1].form.comps.items():
                     sign, _ = _merge_sign(idx, i)
                     if sign is not None:
@@ -347,8 +410,8 @@ def form_from_json(ring: Ring, n: int, doc) -> DiffForm:
     try:
         degree = json_int(doc["degree"])
         comps = {}
-        for item in doc.get("components", []):
-            idx = tuple(json_int(i) for i in item["dt"])
+        for item in json_list(doc.get("components", []), "components"):
+            idx = tuple(json_int(i) for i in json_list(item["dt"], "dt"))
             if list(idx) != sorted(set(idx)) or any(not 1 <= i <= n for i in idx):
                 raise ParseError(f"bad basis tuple {idx}")
             if len(idx) != degree:

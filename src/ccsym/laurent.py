@@ -19,7 +19,9 @@ capture and are rejected with a stability error.  Under a ceiling, each
 power of the generator keeps only the indices from which the factors still
 to come can return below it, so ``log``, ``exp`` and composition are
 windowed there even when the series terminates by nilpotency; an inverse
-that terminates so stays exact.
+that terminates so stays exact.  A window that ``forms.certified_residues``
+plans for one of its expansions may also carry a band floor; a windowed sum
+is then cut from below as well, and is exact on the band alone.
 
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
@@ -36,7 +38,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coef, Ring, exp_coefficient, json_int, json_object, log_coefficient, mul_into
+from .coeff import (
+    Coef,
+    Ring,
+    exp_coefficient,
+    json_int,
+    json_list,
+    json_object,
+    log_coefficient,
+    mul_into,
+)
 from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
@@ -109,6 +120,25 @@ class Window:
     @staticmethod
     def cube(n, radius):
         return Window((-radius,) * n, (radius,) * n)
+
+
+class _Planned(Window):
+    """The window ``forms.certified_residues`` plans for one ``log`` or
+    inverse expansion: besides the ceiling ``hi``, the lowest index ``band``
+    (``None``: no band) any read of the residue can reach, and the
+    ``_generator_parts`` of the expansion's generator ``s - 1`` (``s`` the
+    sharp part), computed once by the planner.
+
+    A series expanded under a band holds its coefficients on ``[band, hi]``
+    only and reads zero below, so it is no certified value: only
+    ``forms._Factor`` builds this window, and the series never leaves it.
+    A plain subclass: a dataclass would cost a millisecond at every import.
+    """
+
+    def __init__(self, lo, hi, band, parts):
+        super().__init__(lo, hi)
+        self.band, self.parts = band, parts
+
 
 class LaurentElt:
     """A sparse iterated Laurent polynomial, exact or certified on a window."""
@@ -633,8 +663,13 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
 def _generator_parts(g: LaurentElt):
     """Unit monomials, nilpotent monomials and expansion floor of a generator.
 
-    Raises for the generators no box window can expand, as the expansion
-    itself would: ``NotSharpError`` unless ``g`` is additively sharp.
+    The floor is a certified componentwise floor of every ``sum c_i g^i``,
+    from ``g`` alone: unit monomials are componentwise nonnegative, so a term
+    falls below zero in ``t_j`` only through a nonzero product of nilpotent
+    coefficients whose exponents sum below zero; ``_nil_depth`` bounds how
+    deep.  Nothing is expanded.  Raises for the generators no box window can
+    expand, as the expansion itself would: ``NotSharpError`` unless ``g`` is
+    additively sharp.
     """
     unit_idx = []
     nil_idx = []
@@ -679,27 +714,16 @@ def _nil_depth(ring, items):
     return best
 
 
-def expansion_floor(g: LaurentElt):
-    """Certified componentwise floor of every ``sum c_i g^i``, from ``g`` alone.
-
-    Unit monomials are componentwise nonnegative, so a term falls below zero
-    in ``t_j`` only through a nonzero product of nilpotent coefficients whose
-    exponents sum below zero; ``_nil_depth`` bounds how deep.  Nothing is
-    expanded.
-    """
-    return _generator_parts(g)[2]
-
-
-def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=False):
-    """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= hi}``.
+def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=False):
+    """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= window.hi}``.
 
     Non-nilpotent monomials of ``g`` must be lex-positive and componentwise
     nonnegative; their count inside any window is then bounded, nilpotent
     factors are bounded by the ring's nil index, and the partial products are
     evaluated on a padded work box that provably loses nothing below the
     ceiling.  A generator with no unit coefficient terminates by nilpotency
-    alone: without a ceiling (or with ``keep_exact``) its sum is exact,
-    under one it is windowed with ``hi`` and the expansion floor.
+    alone: without a window (or with ``keep_exact``) its sum is exact, under
+    one it is windowed with ``hi`` and the expansion floor.
 
     Under a ceiling, ``g^i`` is cut at the highest index from which the
     ``budget - i`` factors still to come can bring a term back to ``hi``:
@@ -711,10 +735,20 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
     A windowed generator is accepted when its support floor is componentwise
     nonnegative (no unknown term can then re-enter the certified box); the
     result's ceiling shrinks to the generator's.
+
+    Under a :class:`_Planned` window with a band, a windowed sum is also cut
+    from below: ``g^i`` at the lowest index from which the factors still to
+    come can bring a term back up to ``band`` (each raises ``t_j`` by at most
+    the largest positive ``t_j`` exponent of a term of ``g``), and
+    ``c_i * g^i`` enters the sum only on ``[band, hi]``.  Exact and clipped
+    sums stay unbanded: their termination test reads whole powers.
     """
     ring = g.ring
     n = g.n
-    unit_idx, nil_idx, work_lo = _generator_parts(g)
+    planned = isinstance(window, _Planned)
+    unit_idx, nil_idx, work_lo = window.parts if planned else _generator_parts(g)
+    band = window.band if planned else None
+    hi = None if window is None else tuple(window.hi)
     if g.hi is not None:
         hi = g.hi if hi is None else _min_idx(hi, g.hi)
     a_budget = ring.nil_index - 1
@@ -728,6 +762,7 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
         posnil = tuple(max((max(0, l[j]) for l in nil_idx), default=0) for j in range(n))
         posu = tuple(max((l[j] for l in unit_idx), default=0) for j in range(n))
         neg = tuple(max((max(0, -l[j]) for l in nil_idx), default=0) for j in range(n))
+        pos = tuple(map(max, posnil, posu))
         # unit factors raise the index sum; without unit terms there are none
         b_budget = 0 if terminating else max(0, sum(hi) - sum(work_lo))
         budget = b_budget + a_budget
@@ -739,23 +774,31 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
     if not terminating and budget > _EXPANSION_SANITY:
         raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
     cut = not (exact or clipped)
+    if not cut:
+        band = None
+    elif band is not None:
+        # the lower cut rises above work_lo once at most `near` factors are to come
+        near = max((b - w - 1) // d if d else (budget if b > w else -1)
+                   for w, b, d in zip(work_lo, band, pos))
 
     def scalar_at(i):
         c = coeff_at(i)
         return c if isinstance(c, Coef) else ring.from_scalar(c)
 
     g_den, g_flat = _flat(g.terms)
-    zero_idx = (0,) * n
-    s = scalar_at(0)
-    acc_den, acc = s.den, {zero_idx: dict(s._mono)}
-    den, p = 1, {zero_idx: [(ring._bias, 1)]}
-    top = work_hi
-    for i in range(1, budget + 1):
-        if cut:
-            top = _min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)])
-        den, p = _carried(ring, _flat_product(ring, p, g_flat, top, work_lo), den * g_den)
-        if not p:
-            break
+    acc_den, acc = 1, {}
+    den, p = 1, {(0,) * n: [(ring._bias, 1)]}  # g^0
+    top, bottom = work_hi, work_lo
+    for i in range(budget + 1):
+        if i:
+            if cut:
+                top = _min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)])
+                if band is not None and budget - i <= near:
+                    bottom = tuple(max(w, b - (budget - i) * d)
+                                   for w, b, d in zip(work_lo, band, pos))
+            den, p = _carried(ring, _flat_product(ring, p, g_flat, top, bottom), den * g_den)
+            if not p:
+                break
         s = scalar_at(i)
         if not s:
             continue
@@ -770,7 +813,7 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
             acc_den = lcm
         xs = _numerators(s, lcm // den)
         for l, xp in p.items():
-            if exact or _le_idx(l, hi):
+            if exact or (_le_idx(l, hi) and (band is None or _le_idx(band, l))):
                 mul_into(ring, acc.setdefault(l, {}), xp, xs)
     # an exact or clipped sum is complete only once the next power leaves the box
     if (exact or clipped) and _carried(
@@ -799,10 +842,10 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.terms:
         inv_s = one(ring, n)
     else:
-        internal_hi = None
-        if window is not None:
-            internal_hi = tuple(window.hi[j] + nu[j] for j in range(n))
-        inv_s = _expand_series(g, _geom, internal_hi, keep_exact=True)
+        if window is not None and any(nu):
+            # a plan concerns a sharp part, whose monomial factor is 1
+            window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
+        inv_s = _expand_series(g, _geom, window, keep_exact=True)
     return (inv_s * c.inverse()).shift(tuple(-x for x in nu))
 
 
@@ -815,22 +858,19 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    return _expand_series(f - one(f.ring, f.n), log_coefficient,
-                          None if window is None else tuple(window.hi))
+    return _expand_series(f - one(f.ring, f.n), log_coefficient, window)
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    return _expand_series(g, exp_coefficient, None if window is None else tuple(window.hi))
+    return _expand_series(g, exp_coefficient, window)
 
 
 def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
     """phi(f) for a univariate power series phi given by its coefficients."""
     coeffs = list(phi_coeffs)
-    return _expand_series(f, lambda i: coeffs[i],
-                          None if window is None else tuple(window.hi),
-                          max_degree=len(coeffs) - 1)
+    return _expand_series(f, lambda i: coeffs[i], window, max_degree=len(coeffs) - 1)
 
 
 # -- the stability protocol -----------------------------------------------------------
@@ -866,8 +906,9 @@ def series_from_json(ring: Ring, doc) -> LaurentElt:
     json_object(doc, "a series")
     try:
         n = json_int(doc["n"])
-        pairs = [(tuple(json_int(x) for x in t["exp"]), ring.parse_coef(t["coef"]))
-                 for t in doc.get("terms", [])]
+        pairs = [(tuple(json_int(x) for x in json_list(t["exp"], "exp")),
+                  ring.parse_coef(t["coef"]))
+                 for t in json_list(doc.get("terms", []), "terms")]
         window = doc.get("window")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series document: {exc}") from exc

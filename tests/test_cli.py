@@ -351,3 +351,38 @@ def test_a_malformed_document_names_it(field, value, detail):
     code, out = run_cli(doc)
     assert code == 1 and out["error"]["kind"] == "ParseError"
     assert out["error"]["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize("field, detail", [
+    ("components", "components must be a JSON array, got dict"),
+    ("dt", "dt must be a JSON array, got dict"),
+    ("terms", "terms must be a JSON array, got dict"),
+    ("exp", "exp must be a JSON array, got dict"),
+])
+def test_an_array_given_as_an_object_is_a_parse_error(field, detail):
+    t = series(2, [((1, 0), "1")])
+    form = {"degree": 1, "components": [{"dt": [1], "series": t}]}
+    if field == "components":
+        form = {"degree": 2, "components": {}}
+    elif field == "dt":
+        form["components"][0]["dt"] = {}
+    elif field == "terms":
+        t["terms"] = {}
+    else:
+        t["terms"][0]["exp"] = {}
+    code, out = run_cli({"command": "res", "ring": {"base": "Q"}, "n": 2, "form": form})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert out["error"]["detail"] == detail
+
+
+@pytest.mark.parametrize("nil, detail", [
+    ([[1, 2]], "a nil generator name must be a string, got 1"),
+    ({"e": 2}, "nil must be a JSON array, got dict"),
+    (["e"], "a nil generator must be a JSON array, got str"),
+], ids=["name_number", "nil_object", "generator_string"])
+def test_a_malformed_nil_generator_is_a_parse_error(nil, detail):
+    t = series(1, [((1,), "1")])
+    code, out = run_cli({"command": "cc", "ring": {"base": "Q", "nil": nil}, "n": 1,
+                         "tuple": [t, t]})
+    assert code == 1 and out["error"]["kind"] == "ParseError"
+    assert out["error"]["detail"] == detail

@@ -156,6 +156,8 @@ SUM_AT_HI = Replay((_QE, 1), from_terms(_QE, 1, [((-1,), _QE.gen("e1")), ((1,), 
 # each power of log(1 + e/t + e) cut one factor too low loses e^3/3 at t^0
 _E = _QUVE.gen("e")
 CEILING = Replay((_QUVE, 1), from_terms(_QUVE, 1, [((-1,), _E), ((0,), _E)]), False, (0,))
+# the lower cut of g^i one factor too high loses e^3 t^3 / 3 of log(1 + e t) on [3, 3]
+BAND = Replay((_QUVE, 1), from_terms(_QUVE, 1, [((1,), _E)]), (3,), (3,))
 
 
 # -- the schoolbook reference ------------------------------------------------------------
@@ -331,7 +333,7 @@ def test_a_nilpotent_generator_is_windowed_under_a_ceiling(data):
     if ring.has_rationals():
         pairs += [(log_sharp(g + 1, window), log_sharp(g + 1)),
                   (exp_sharp(g, window), exp_sharp(g))]
-    floor = laurent.expansion_floor(g)
+    floor = laurent._generator_parts(g)[2]
     for got, want in pairs:
         assert (got.hi, got.floor) == (hi, floor)
         assert want.is_exact()
@@ -352,6 +354,30 @@ def test_a_term_above_the_ceiling_comes_back_to_it():
     assert (got.hi, got.floor) == ((0,), (-3,))
     assert got.coefficient((0,)) == e ** 3 == want.coefficient((0,))
     assert got.terms == {l: c for l, c in want.terms.items() if l <= (0,)}
+
+
+@CHECK
+@example(data=BAND)
+@given(data=st.data())
+def test_a_banded_expansion_holds_the_series_on_its_band(data):
+    """Under a planned window with a band, windowed ``log``, ``exp`` and
+    inverse hold the terms of the unbanded expansion on ``[band, hi]`` and no
+    others, under the same ceiling and floor; an inverse that terminates
+    stays exact and unbanded."""
+    ring, n = data.draw(ring_and_n(RATIONAL))
+    g = data.draw(sharp_generators(ring, n, constant=False))
+    hi = data.draw(_indices(n, -1, 3))
+    band = data.draw(_indices(n, -4, 3))
+    plain = Window(tuple(min(h, -1) for h in hi), hi)
+    planned = laurent._Planned(plain.lo, plain.hi, band, laurent._generator_parts(g))
+    for expand in (lambda w: log_sharp(g + 1, w), lambda w: exp_sharp(g, w),
+                   lambda w: invert(g + 1, w)):
+        got, want = expand(planned), expand(plain)
+        if want.is_exact():
+            assert got == want
+        else:
+            assert (got.hi, got.floor) == (want.hi, want.floor)
+            assert got.terms == {l: c for l, c in want.terms.items() if _le(band, l)}
 
 
 @pytest.mark.parametrize("name", CONNECTED)

@@ -1,5 +1,8 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -42,6 +45,42 @@ def test_phi_two_slot_matches_closed_form():
     assert s.coefficient((((1, (1,)), 1), ((2, (-1,)), 1))) == -1
     # and the transposed placement inverts the symbol: +1
     assert s.coefficient((((1, (-1,)), 1), ((2, (1,)), 1))) == 1
+
+
+def _closed_form_phi_11(degree, radius):
+    """``phi_{1,1} = exp(sum_k (-1)^(k-1)/k * sum_{|m|=k, sum l m_l = 0}
+    k!/prod m_l! x^m)`` up to total degree ``degree``, over the exponents
+    ``l`` in ``[-radius, radius]``: ``exp`` of the constant term of
+    ``log(1 + sum_l x_l t^l)``.  Monomials are sorted ``(l, m_l)`` tuples;
+    only ``Fraction`` and ``Counter`` arithmetic, none of the engine."""
+    log = {}  # by degree: {monomial: coefficient}
+    for k in range(1, degree + 1):
+        log[k] = {}
+        for ls in combinations_with_replacement(range(-radius, radius + 1), k):
+            if sum(ls) == 0:
+                m = Counter(ls)
+                c = Fraction((-1) ** (k - 1), k) * math.factorial(k)
+                for e in m.values():
+                    c /= math.factorial(e)
+                log[k][tuple(sorted(m.items()))] = c
+    # exp by degree: d E_d = sum_k k L_k E_(d-k)
+    exp = {0: {(): Fraction(1)}}
+    for d in range(1, degree + 1):
+        exp[d] = Counter()
+        for k in range(1, d + 1):
+            for a, ca in log[k].items():
+                for b, cb in exp[d - k].items():
+                    mono = tuple(sorted((Counter(dict(a)) + Counter(dict(b))).items()))
+                    exp[d][mono] += Fraction(k, d) * ca * cb
+    return {mono: c for d in range(1, degree + 1) for mono, c in exp[d].items() if c}
+
+
+def test_phi_11_matches_its_closed_form():
+    s = phi_coefficients(PhiKey(1, (1,)), 6, Window.box((-6,), (6,)))
+    want = {tuple(((1, (l,)), e) for l, e in mono): c
+            for mono, c in _closed_form_phi_11(6, 6).items()}
+    assert len(s.coeffs) == 1042
+    assert s.coeffs == want
 
 
 def test_phi_reports():
