@@ -223,32 +223,34 @@ class _Factor:
     """One factor of a residue, described before anything is expanded.
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
-    ``dt_i``) to its certified floor, and ``tops`` to the top of its stored
-    terms, outside the factor's expansion until ``add_expansion_tops``.  The
-    expansion is a log or an inverse; ``parts`` are its generator's
-    ``_generator_parts``, computed once here, and ``low`` its floor.
-    ``inner`` maps the components holding it to the floor and the top of
-    what multiplies it there; ``need`` gathers the ceiling it must reach and
-    ``band`` the lowest index a read of it reaches.  ``his`` are the
-    ceilings of a windowed input.
+    ``dt_i``) to its certified floor.  The factor's expansion is a log or an
+    inverse; ``parts`` are its generator's ``_generator_parts``, computed
+    once here, ``low`` its floor, and ``windowed`` whether it is windowed
+    (and so cut at its band) or exact.  ``inner`` maps the components
+    holding it to the floor and the top of what multiplies it there;
+    ``need`` gathers the ceiling it must reach and ``band`` the lowest index
+    a read of it reaches.  ``his`` are the ceilings of a windowed input.
     """
 
     def __init__(self, x):
-        self.source, self.floors, self.tops, self.inner, self.his = x, {}, {}, {}, {}
+        self.source, self.floors, self.inner, self.his = x, {}, {}, {}
         self.parts = self.low = self.need = self.band = None
+        self.windowed = False
         if isinstance(x, Log):
             s, self.degree = x.s, 0
             self._expands(s)
+            self.windowed = True
             self.floors[()] = self.low
             self.inner[()] = ((0,) * s.n,) * 2
         elif isinstance(x, Dlog):
-            nu, _, s = coarse_split(x.f)
+            self.nu, _, s = coarse_split(x.f)
             self.degree = 1
             for j in range(1, s.n + 1):
-                if nu[j - 1]:
-                    self.floors[(j,)] = self.tops[(j,)] = _unit_vector(s.n, j, -1)
+                if self.nu[j - 1]:
+                    self.floors[(j,)] = _unit_vector(s.n, j, -1)
             if s != 1:
                 self._expands(s)
+                self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
                 for j in range(1, s.n + 1):  # the support of d(s), read off s
                     e = _unit_vector(s.n, j)
                     support = [_sub_idx(l, e) for l in s.terms if l[j - 1]]
@@ -264,9 +266,7 @@ class _Factor:
             for idx, part in s.comps.items():
                 self.floors[idx] = part._floor() or (0,) * s.n
                 if part.hi is not None:
-                    self.tops[idx] = self.his[idx] = part.hi
-                else:
-                    self.tops[idx] = tuple(map(max, zip(*part.terms)))
+                    self.his[idx] = part.hi
         self.ring, self.n = s.ring, s.n
 
     def _expands(self, s):
@@ -277,21 +277,31 @@ class _Factor:
     def ceiling(self):
         return self.need or self.low
 
-    def add_expansion_tops(self):
-        """Once ``need`` is fixed, add the expansion to ``tops``.  Its own top
-        is its ceiling, but an inverse that terminates by nilpotency is exact:
-        a sum of products of at most ``nil_index - 1`` nilpotent terms."""
-        if not self.inner:
-            return
-        unit_idx, nil_idx, _ = self.parts
-        if isinstance(self.source, Dlog) and not unit_idx:
-            depth = self.ring.nil_index - 1
-            reach = tuple(depth * max((max(0, l[j]) for l in nil_idx), default=0)
-                          for j in range(self.n))
+    @cached_property
+    def tops(self):
+        """The top of each component's stored terms, read once ``need`` is
+        fixed: the support maximum of a given exact component, the ceiling of
+        a given windowed one, ``-e_j`` for the ``dt_j / t_j`` of a monomial,
+        and where the expansion sits, the top of what multiplies it plus the
+        expansion's own.  That is its ceiling when it is windowed; an inverse
+        that terminates by nilpotency is exact, a sum of products of at most
+        ``nil_index - 1`` nilpotent terms."""
+        if isinstance(self.source, Log):
+            tops = {}
+        elif isinstance(self.source, Dlog):
+            tops = {(j,): _unit_vector(self.n, j, -1)
+                    for j in range(1, self.n + 1) if self.nu[j - 1]}
         else:
-            reach = self.ceiling
-        for idx, (_, top) in self.inner.items():
-            self.tops[idx] = _max_idx(self.tops.get(idx), _add_idx(top, reach))
+            return {idx: part.hi if part.hi is not None else tuple(map(max, zip(*part.terms)))
+                    for idx, part in self.form.comps.items()}
+        if self.inner:
+            depth = self.ring.nil_index - 1
+            reach = self.ceiling if self.windowed else tuple(
+                depth * max((max(0, l[j]) for l in self.parts[1]), default=0)
+                for j in range(self.n))
+            for idx, (_, top) in self.inner.items():
+                tops[idx] = _max_idx(tops.get(idx), _add_idx(top, reach))
+        return tops
 
     @cached_property
     def form(self):
@@ -366,15 +376,15 @@ def certified_residues(terms):
                         f"the residue at {target}")
         plans.append((chosen, summands))
 
-    for f in factors.values():
-        f.add_expansion_tops()
     for chosen, summands in plans:
+        if not any(f.windowed for f in chosen):
+            continue
         target = (-1,) * chosen[0].n
         for idxs in summands:
             tops = [f.tops[idx] for f, idx in zip(chosen, idxs)]
             total = _sub_idx(target, map(sum, zip(*tops)))
             for f, idx, top in zip(chosen, idxs, tops):
-                if idx in f.inner:
+                if f.windowed and idx in f.inner:
                     # the target minus the tops of the other factors and of
                     # what multiplies the expansion inside
                     band = _sub_idx(_add_idx(total, top), f.inner[idx][1])
