@@ -333,10 +333,10 @@ def certified_residues(terms):
        that of the inverse), and an expansion is read no lower than the
        target minus the tops of the other factors and of what multiplies it
        inside, in every summand it enters;
-    4. one evaluation: each expansion at its own ceiling, cut below its
-       band, and the last product of each wedge accumulated at the target
-       only, the last factor not evaluated when the wedge before it holds
-       no stored term.
+    4. one evaluation: each expansion at its own ceiling, a windowed one
+       cut below its band, and the last product of each wedge accumulated
+       at the target only, the last factor not evaluated when the wedge
+       before it holds no stored term.
 
     Below its band an expansion reads zero where its true coefficients are
     not, but no summand can reach there; such a value lives only inside this
