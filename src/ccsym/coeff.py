@@ -723,10 +723,47 @@ class Coef:
         return unit_constant
 
     def inverse(self):
+        """The inverse of a unit ``(a0 + A) / D``, ``a0`` its constant numerator
+        and ``A`` the nilpotent rest, in one pass over packed numerators.
+
+        The pass carries ``p = (-A)^i`` and ``acc = sum_{j <= i} (-A)^j a0^(i-j)``
+        until ``p`` dies, at the latest at the power ``nil_index``, and returns
+        ``D * acc / a0^(i+1)`` as one element.  Over Z/m it carries
+        ``-A * a0^-1 mod m`` instead and scales by ``a0^-1`` at the end.
+        """
         if not self.is_invertible():
             raise NotInvertibleError(f"{self} is not invertible")
-        inv0 = self.ring.scalar_inverse(self.constant_scalar())
-        return _nil_series(self.ring.one() - self * inv0, lambda i: 1) * inv0
+        ring, bias, m = self.ring, self.ring._bias, self.ring.modulus
+        a0 = self._mono[bias]
+        if m is None:  # c^-1 = D * acc / a0^power
+            step, final = a0, self.den
+            w = sorted((k, -v) for k, v in self._mono.items() if k != bias)
+        else:  # c^-1 = acc * a0^-1, acc summing the powers of -A * a0^-1
+            step, final = 1, pow(a0, -1, m)
+            w = sorted((k, -v * final % m) for k, v in self._mono.items() if k != bias)
+        acc, power, p = {bias: 1}, 1, w
+        for _ in range(1, ring.nil_index):
+            if not p:
+                break
+            if step != 1:
+                acc = {k: v * step for k, v in acc.items()}
+            for k, v in p:
+                acc[k] = acc.get(k, 0) + v
+            power += 1
+            out = {}
+            mul_into(ring, out, p, w)
+            if m is None:
+                p = sorted((k, v) for k, v in out.items() if v)
+            else:
+                p = sorted((k, r) for k, v in out.items() if (r := v % m))
+        if p:
+            w = ring.one() - self * ring.scalar_inverse(self.constant_scalar())
+            raise InternalConsistencyError(
+                f"{w} survives the power {ring.nil_index}, the nil index of {ring}")
+        den = step ** power
+        if den < 0:
+            final, den = -final, -den
+        return ring._element({k: v * final for k, v in acc.items()}, den)
 
     # -- exp / log -----------------------------------------------------------
 

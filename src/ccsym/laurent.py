@@ -578,6 +578,15 @@ class UnitDecomposition:
                 "v_plus": self.v_plus.to_json(), "v_minus": self.v_minus.to_json()}
 
 
+def _unit_split(f: LaurentElt):
+    """``(nu, c, t^-nu * f)``: the split of :func:`coarse_split` before the
+    division by ``c``, for callers that divide only when they read ``S``.
+    ``S != 1`` exactly when ``t^-nu * f`` has more than one term."""
+    nu = valuation(f)
+    g = f.shift(tuple(-x for x in nu))
+    return nu, g.constant_coefficient(), g
+
+
 def coarse_split(f: LaurentElt):
     """f = t^nu * c * S with c the leading coefficient and S sharp, constant 1.
 
@@ -585,9 +594,7 @@ def coarse_split(f: LaurentElt):
     inversion routines consume; the finer lex-positive/lex-negative splitting
     of S lives in :func:`decompose`.
     """
-    nu = valuation(f)
-    g = f.shift(tuple(-x for x in nu))
-    c = g.constant_coefficient()
+    nu, c, g = _unit_split(f)
     return nu, c, g if c.is_one() else g * c.inverse()
 
 
@@ -836,8 +843,11 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     generator is elementwise nilpotent, window or not, and otherwise runs
     under the certified window protocol.
     """
-    nu, c, s = coarse_split(f)
+    nu, c, s = _unit_split(f)
     ring, n = f.ring, f.n
+    c_inv = None if c.is_one() else c.inverse()  # scales S and the inverse alike
+    if c_inv is not None:
+        s = s * c_inv
     g = s - one(ring, n)
     if not g.terms:
         inv_s = one(ring, n)
@@ -846,7 +856,9 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
             # a plan concerns a sharp part, whose monomial factor is 1
             window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
         inv_s = _expand_series(g, _geom, window, keep_exact=True)
-    return (inv_s * c.inverse()).shift(tuple(-x for x in nu))
+    if c_inv is not None:
+        inv_s = inv_s * c_inv
+    return inv_s.shift(tuple(-x for x in nu))
 
 
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:

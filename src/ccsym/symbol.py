@@ -1,8 +1,8 @@
 """The explicit higher Contou-Carrere symbol and its relatives.
 
 ``cc`` evaluates the (n+1)-ary symbol on invertible iterated Laurent series
-by splitting every slot through the unit-group decomposition and combining
-three kinds of elementary values:
+by splitting every slot as ``f = t^nu * c * S`` and combining three kinds of
+elementary values:
 
 * all slots monomial: a sign ``(-1)^sgn(l_1,...,l_{n+1})``;
 * one slot a constant unit ``c``, the rest monomial: ``c^det(nu(...))``;
@@ -10,6 +10,11 @@ three kinds of elementary values:
   with the residues read by ``forms.certified_residues`` (each log and
   inverse expanded once, up to the ceiling the residue needs) and checked
   nilpotent before exponentiating.
+
+Each slot is split once, to ``nu``, ``c`` and ``t^-nu * f``.  The sharp
+factor ``S = t^-nu * f * c^-1`` is formed only for a slot that some exp-res
+subset reads, and ``c^-1`` is computed at most once per slot, shared by
+``S`` and a negative constant-slot exponent.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
 Khovanskii product form; the additive symbol is the determinant of the
@@ -22,7 +27,7 @@ from __future__ import annotations
 from .coeff import Coef
 from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
 from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
-from .laurent import LaurentElt, coarse_split, one, require_exact, valuation
+from .laurent import LaurentElt, _unit_split, one, require_exact, valuation
 
 
 # -- integer linear algebra ----------------------------------------------------
@@ -120,6 +125,8 @@ def cc(entries, want_trace=False):
 
     Requires rational coefficients whenever a sharp (exp-res) branch
     contributes; purely monomial/constant inputs evaluate over any base.
+    A slot's sharp factor is formed only when an exp-res subset reads it,
+    and its ``c^-1`` at most once.
     """
     entries = list(entries)
     if not entries:
@@ -130,8 +137,15 @@ def cc(entries, want_trace=False):
     for f in entries[1:]:
         entries[0]._check(f)
     require_exact(entries, "cc")
-    splits = [coarse_split(f) for f in entries]
+    splits = [_unit_split(f) for f in entries]
     nus = [nu for nu, _, _ in splits]
+    inverses = {}
+
+    def c_inv(i):  # each slot's c^-1 is computed at most once
+        if i not in inverses:
+            inverses[i] = splits[i][1].inverse()
+        return inverses[i]
+
     trace = [] if want_trace else None  # its strings are built only on request
     value = ring.one()
 
@@ -148,14 +162,13 @@ def cc(entries, want_trace=False):
         if dt == 0:
             continue
         exponent = dt if i % 2 == 0 else -dt
-        value = value * c ** exponent
+        value = value * (c ** exponent if exponent > 0 else c_inv(i) ** -exponent)
         if trace is not None:
             trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
 
-    sharp = {i: s_part for i, (_, _, s_part) in enumerate(splits) if s_part != 1}
+    idx = [i for i, (_, _, g) in enumerate(splits) if len(g.terms) > 1]  # S != 1
     subsets = []
-    for mask in range(1, 1 << len(sharp)):
-        idx = sorted(sharp)
+    for mask in range(1, 1 << len(idx)):
         t_set = {idx[b] for b in range(len(idx)) if mask >> b & 1}
         if any(not any(nus[j]) for j in range(n + 1) if j not in t_set):
             continue
@@ -165,6 +178,10 @@ def cc(entries, want_trace=False):
             raise UnsupportedRingError(
                 "exp-res branch needs rational coefficients; over integral bases "
                 "use the universal integral series (ccsym.universal.evaluate_phi)")
+        sharp = {}  # S = t^-nu f c^-1, only for the slots a subset reads
+        for i in sorted(set().union(*subsets)):
+            _, c, g = splits[i]
+            sharp[i] = g if c.is_one() else g * c_inv(i)
         total = _sharp_contribution(ring, n, nus, sharp, subsets, trace)
         if not total.is_nilpotent():
             raise InternalConsistencyError(

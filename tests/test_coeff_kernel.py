@@ -93,6 +93,8 @@ def _exponents(ring):
     """Sparse exponent vectors: free exponents up to 3, nil exponents up to
     the order, so that some monomials are zero on arrival."""
     bounds = [3] * ring.nfree + list(ring.nil_orders)
+    if not bounds:
+        return st.just(())
     return st.dictionaries(st.integers(0, len(bounds) - 1), st.integers(1, max(bounds)),
                            max_size=3).map(
         lambda d: tuple(min(d.get(i, 0), bounds[i]) for i in range(len(bounds))))
@@ -207,6 +209,98 @@ def test_product_matches_sympy(name):
         assert (a * b).terms == want
 
     check()
+
+
+# -- the packed inverse against the geometric series ------------------------------------
+
+INVERSE_RINGS = {
+    "Q": ring_new(RingSpec("Q")),
+    "Z": ring_new(RingSpec("Z")),
+    "Z/8": ring_new(RingSpec(8)),
+    "Z/9": ring_new(RingSpec(9)),
+    "Z/27": ring_new(RingSpec(27)),
+    "Q[u; e^3]": ring_new(RingSpec("Q", free=("u",), nil=(("e", 3),))),
+    "Q[x^4, y^5; deg <= 3]": RINGS["Q[x^4, y^5; deg <= 3]"],
+    "Z/9[u]": ring_new(RingSpec(9, free=("u",))),
+    "Z/9[e^2]": ring_new(RingSpec(9, nil=(("e", 2),))),
+}
+# a bare scalar (nil index 1), a negative constant over Q, a unit whose
+# nilpotent part dies only in a product (e^2 = 0 or 6u * 6u = 0 mod 9)
+INVERSE_EXAMPLES = {
+    "Q": ["-3/2"],
+    "Z": ["-1"],
+    "Q[u; e^3]": ["-2 + 3*u^1*e^1 + 1/2*e^2"],
+    "Z/9[u]": ["6*u^1 + 1"],
+    "Z/9[e^2]": ["3*e^1 + 1"],
+}
+
+
+def inverse_by_series(x):
+    """The route ``Coef.inverse`` took before its packed pass: the geometric
+    series of ``w = 1 - x * c0^-1`` summed with ``Coef`` products and sums,
+    then scaled by ``c0^-1``."""
+    ring = x.ring
+    inv0 = ring.scalar_inverse(x.constant_scalar())
+    w = ring.one() - x * inv0
+    acc, p = ring.one(), w
+    for _ in range(1, ring.nil_index):
+        if not p:
+            break
+        acc = acc + p
+        p = p * w
+    assert not p
+    return acc * inv0
+
+
+def non_units(ring):
+    """Any terms over a constant that is no unit of the base, hence no unit."""
+    zero = (0,) * len(ring.gens)
+    if ring.modulus is None:
+        bad = [0] if ring.base == "Q" else [0, 2, -3]
+    else:
+        bad = [k for k in range(ring.modulus) if math.gcd(k, ring.modulus) != 1]
+
+    def build(cw):
+        c, raw = cw
+        raw = {e: s for e, s in raw.items() if e != zero}
+        raw[zero] = c
+        return ring.make(raw)
+
+    return st.tuples(st.sampled_from(bad), raw_elements(ring)).map(build)
+
+
+@pytest.mark.parametrize("name", INVERSE_RINGS)
+def test_packed_inverse_matches_the_geometric_series(name):
+    ring = INVERSE_RINGS[name]
+
+    def body(x):
+        got = x.inverse()
+        want = inverse_by_series(x)
+        assert got == want and str(got) == str(want)
+        assert x * got == ring.one()
+
+    check = given(units(ring))(body)
+    for text in INVERSE_EXAMPLES.get(name, []):
+        check = hypothesis.example(ring.parse_coef(text))(check)
+    CHECK(check)()
+
+    @CHECK
+    @given(non_units(ring))
+    def refuse(x):
+        with pytest.raises(NotInvertibleError):
+            x.inverse()
+
+    refuse()
+
+
+def test_packed_inverse_examples():
+    q = INVERSE_RINGS["Q"]
+    assert q.nil_index == 1 and q.from_scalar(Fraction(-3, 2)).inverse() == Fraction(-2, 3)
+    z9u = INVERSE_RINGS["Z/9[u]"]
+    assert z9u.parse_coef("6*u + 1").inverse() == z9u.parse_coef("3*u + 1")
+    z9e = INVERSE_RINGS["Z/9[e^2]"]
+    assert z9e.parse_coef("3*e + 2").inverse() == z9e.parse_coef("6*e + 5")
+    assert INVERSE_RINGS["Z"].from_scalar(-1).inverse() == -1
 
 
 # -- the terms view ----------------------------------------------------------------------

@@ -298,3 +298,25 @@ def test_cc_constant_slot_reads_valuation(tower):
         a = tower.from_scalar(rng.choice([2, 3, -1])) + tower.gen("e1") * rng.randint(-1, 1)
         g = random_invertible_series(rng, tower, 1)
         assert cc([monomial(tower, 1, (0,), a), g]) == a ** valuation(g)[0]
+
+
+def test_cc_inverts_a_leading_coefficient_only_where_it_is_read(Qe, monkeypatch):
+    # S = t^-nu f c^-1 is formed only for slots in an exp-res subset, and a
+    # slot's c^-1 serves both S and a negative constant-slot exponent
+    e, t = Qe.gen("e"), t_var(Qe, 1, 1)
+    c = Qe.from_scalar(2) + e
+    sharp = from_terms(Qe, 1, [((0,), c), ((1,), e)])  # 2 + e + e t
+    c_inv = c.inverse()
+    by_parts = cc([t, monomial(Qe, 1, (0,), c)]) * cc([t, sharp * c_inv])
+    calls = []
+    inverse = type(c).inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(type(c), "inverse", counted)
+    assert cc([sharp, monomial(Qe, 1, (0,), Qe.from_scalar(3))]) == 1 and calls == []
+    assert cc([t, monomial(Qe, 1, (0,), c)]) == c_inv and calls == [c]
+    calls.clear()
+    assert cc([t, sharp]) == by_parts and calls == [c]
