@@ -19,7 +19,12 @@ from functools import cached_property
 from itertools import permutations
 
 from .coeff import Ring, json_int, json_list, json_object
-from .errors import ParseError, RingMismatchError, StabilityExhaustedError
+from .errors import (
+    ParseError,
+    RingMismatchError,
+    StabilityExhaustedError,
+    UnsupportedRingError,
+)
 from .laurent import (
     LaurentElt,
     Window,
@@ -28,6 +33,7 @@ from .laurent import (
     _generator_parts,
     _le_idx,
     _min_idx,
+    _sharp_inverse,
     _sub_idx,
     _unit_vector,
     coarse_split,
@@ -219,17 +225,38 @@ def _max_idx(l, m):
     return m if l is None else tuple(map(max, l, m))
 
 
+def _log_floor(g, low):
+    """A floor of ``log(1 + g)`` at or above ``low``, the expansion floor of
+    ``g``.  ``log`` has no constant term, so in a coordinate where every term
+    of ``g`` (and, for a windowed ``g``, its floor) lies at ``m >= 0``, so does
+    every ``g^i`` with ``i >= 1``: the floor there is ``m``, not 0."""
+    m = g.support_lo()
+    if g.hi is not None:
+        m = _min_idx(m, g.floor) if m is not None else g.floor
+    if m is None:
+        return low
+    return tuple(x if x >= 0 else lo for x, lo in zip(m, low))
+
+
+def _sign(perm):
+    """The sign of a permutation, by its inversions."""
+    odd = sum(1 for i, x in enumerate(perm) for y in perm[i + 1:] if y < x) % 2
+    return -1 if odd else 1
+
+
 class _Factor:
     """One factor of a residue, described before anything is expanded.
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
     ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse; ``parts`` are its generator's ``_generator_parts``, computed
-    once here, ``low`` its floor, and ``windowed`` whether it is windowed
-    (and so cut at its band) or exact.  ``inner`` maps the components
-    holding it to the floor and the top of what multiplies it there;
-    ``need`` gathers the ceiling it must reach and ``band`` the lowest index
-    a read of it reaches.  ``his`` are the ceilings of a windowed input.
+    inverse of the sharp series ``s``, split once here: ``g = s - 1`` is its
+    generator, ``parts`` are the ``_generator_parts`` of ``g``, ``low`` the
+    expansion's floor (for a log, the tighter :func:`_log_floor`), and
+    ``windowed`` whether it is windowed (and so cut at its band) or exact.
+    ``inner`` maps the components holding it to the floor and the top of
+    what multiplies it there; ``need`` gathers the ceiling it must reach and
+    ``band`` the lowest index a read of it reaches.  ``his`` are the ceilings
+    of a windowed input.
     """
 
     def __init__(self, x):
@@ -240,6 +267,7 @@ class _Factor:
             s, self.degree = x.s, 0
             self._expands(s)
             self.windowed = True
+            self.low = _log_floor(self.g, self.low)
             self.floors[()] = self.low
             self.inner[()] = ((0,) * s.n,) * 2
         elif isinstance(x, Dlog):
@@ -270,7 +298,8 @@ class _Factor:
         self.ring, self.n = s.ring, s.n
 
     def _expands(self, s):
-        self.parts = _generator_parts(s - one(s.ring, s.n))
+        self.s, self.g = s, s - one(s.ring, s.n)
+        self.parts = _generator_parts(self.g)
         self.low = self.parts[2]
 
     @property
@@ -283,9 +312,11 @@ class _Factor:
         fixed: the support maximum of a given exact component, the ceiling of
         a given windowed one, ``-e_j`` for the ``dt_j / t_j`` of a monomial,
         and where the expansion sits, the top of what multiplies it plus the
-        expansion's own.  That is its ceiling when it is windowed; an inverse
-        that terminates by nilpotency is exact, a sum of products of at most
-        ``nil_index - 1`` nilpotent terms."""
+        expansion's own.  That is its ceiling when it is windowed.  An
+        inverse that terminates by nilpotency is exact, a sum of products of
+        nilpotent terms; it enters only multiplied by ``d_j s``, whose
+        coefficients are nilpotent too, so at most ``nil_index - 2`` of them
+        survive."""
         if isinstance(self.source, Log):
             tops = {}
         elif isinstance(self.source, Dlog):
@@ -295,7 +326,7 @@ class _Factor:
             return {idx: part.hi if part.hi is not None else tuple(map(max, zip(*part.terms)))
                     for idx, part in self.form.comps.items()}
         if self.inner:
-            depth = self.ring.nil_index - 1
+            depth = self.ring.nil_index - 2  # a nilpotent term of g exists: nil_index >= 2
             reach = self.ceiling if self.windowed else tuple(
                 depth * max((max(0, l[j]) for l in self.parts[1]), default=0)
                 for j in range(self.n))
@@ -306,15 +337,40 @@ class _Factor:
     @cached_property
     def form(self):
         """The factor as a form, its expansion certified up to its ceiling
-        and banded: exact from ``band`` up only, so it never leaves here."""
+        and banded: exact from ``band`` up only, so it never leaves here.
+        A log carries the floor the planner read, :func:`_log_floor`."""
         hi, band = self.ceiling, self.band
         if band is not None and _le_idx(band, self.low):
             band = None  # the expansion holds nothing below its floor: no cut
         window = None if self.parts is None else \
             _Planned(_min_idx(self.low, hi), hi, band, self.parts)
         if isinstance(self.source, Log):
-            return DiffForm.from_series(log_sharp(self.source.s, window))
-        return dlog(self.source.f, window)
+            log = log_sharp(self.s, window)
+            return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
+        out = dlog_monomial(self.ring, self.n, self.nu)
+        if self.parts is not None:  # d(s) / s, as in dlog
+            out = out + d(self.s).scale(_sharp_inverse(self.g, window))
+        return out
+
+
+def _partial(chain, products):
+    """The product of the components a chain of ``(factor, idx)`` names, or
+    None once a prefix of it holds no stored term; each prefix's product is
+    formed once per batch, in ``products``, and a factor is evaluated only
+    when a prefix that holds a term reaches it."""
+    p = None
+    for k in range(1, len(chain) + 1):
+        key = chain[:k]
+        if key not in products:
+            f, idx = chain[k - 1]
+            b = f.form.comps.get(idx)
+            if b is not None and k > 1:
+                b = p * b
+            products[key] = b if b is not None and b.terms else None
+        p = products[key]
+        if p is None:
+            return None
+    return p
 
 
 def certified_residues(terms):
@@ -322,27 +378,35 @@ def certified_residues(terms):
 
     ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
     Series and forms are taken as given, exact or windowed; each ``Log`` and
-    ``Dlog`` is expanded once for the whole batch (factors are shared by
-    identity), on the band the target ``(-1, ..., -1)`` reads:
+    ``Dlog`` is expanded at most once for the whole batch (factors are shared
+    by identity), on the band the target ``(-1, ..., -1)`` reads.  The
+    residue is a signed sum of summands, one per permutation ``p`` of the
+    components: ``sign(p) * [g * w_1[p_1] * ... * w_n[p_n]]`` at the target.
 
-    1. floors: each factor's certified floor, from its generator alone;
+    1. floors: each factor's certified floor, from its generator alone; a
+       log has no constant term, so its floor is its generator's where that
+       is nonnegative.  A summand whose floors add up above the target in
+       some coordinate is zero: it is dropped, and sets nothing below;
     2. ceilings: an expansion must reach the target minus the floors of the
-       other factors, in every summand of every wedge it enters;
+       other factors, in every live summand it enters;
     3. bands: with every ceiling fixed, each component has a top (its
        support maximum or ceiling, or for a ``Dlog`` that of ``d(s)`` plus
        that of the inverse), and an expansion is read no lower than the
        target minus the tops of the other factors and of what multiplies it
-       inside, in every summand it enters;
-    4. one evaluation: each expansion at its own ceiling, a windowed one
-       cut below its band, and the last product of each wedge accumulated
-       at the target only, the last factor not evaluated when the wedge
-       before it holds no stored term.
+       inside, in every live summand it enters;
+    4. lazy chains: each live summand multiplies the log component by the
+       middle components in turn, each prefix once per batch, and reads the
+       last product at the target only; a chain stops at a prefix that holds
+       no stored term, and a factor's expansion, at its own ceiling and a
+       windowed one cut below its band, is evaluated only when a chain
+       reaches it.
 
     Below its band an expansion reads zero where its true coefficients are
-    not, but no summand can reach there; such a value lives only inside this
-    routine.  The ceilings cover the target by construction, so nothing is
-    retried.  A windowed input that cannot reach the target raises
-    ``StabilityExhaustedError`` before anything is expanded.
+    not, but no live summand can reach there; such a value lives only inside
+    this routine.  The ceilings cover the target by construction, so nothing
+    is retried.  A windowed input that cannot reach the target raises
+    ``StabilityExhaustedError`` before anything is expanded, in a dropped
+    summand as in a live one.
     """
     factors, plans = {}, []
     for g, slots in terms:
@@ -358,54 +422,57 @@ def certified_residues(terms):
             chosen.append(factors[id(x)])
         if not slots or any(f.n != n for f in chosen):
             raise ParseError(f"a residue over {chosen[0].n} variables takes as many 1-forms")
-        summands = []
+        summands, reached = [], False
         for perm in permutations(range(1, n + 1)):
             idxs = [()] + [(i,) for i in perm]
             floors = [f.floors.get(idx) for f, idx in zip(chosen, idxs)]
             if None in floors:
                 continue
-            summands.append(idxs)
+            reached = True
             total = _sub_idx(target, map(sum, zip(*floors)))
+            live = min(total) >= 0  # else the floors alone put the product above the target
             for f, idx, fl in zip(chosen, idxs, floors):
                 need = _add_idx(total, fl)  # the target minus the other factors' floors
-                if idx in f.inner:
+                if live and idx in f.inner:
                     f.need = _max_idx(f.need, _sub_idx(need, f.inner[idx][0]))
                 if idx in f.his and not _le_idx(need, f.his[idx]):
                     raise StabilityExhaustedError(
                         f"a windowed factor certified up to {f.his[idx]} cannot reach "
                         f"the residue at {target}")
-        plans.append((chosen, summands))
+            if live:
+                summands.append((_sign(perm), tuple(zip(chosen, idxs))))
+        plans.append((chosen, summands, reached))
 
-    for chosen, summands in plans:
+    for chosen, summands, _ in plans:
         if not any(f.windowed for f in chosen):
             continue
         target = (-1,) * chosen[0].n
-        for idxs in summands:
-            tops = [f.tops[idx] for f, idx in zip(chosen, idxs)]
+        for _, chain in summands:
+            tops = [f.tops[idx] for f, idx in chain]
             total = _sub_idx(target, map(sum, zip(*tops)))
-            for f, idx, top in zip(chosen, idxs, tops):
+            for (f, idx), top in zip(chain, tops):
                 if f.windowed and idx in f.inner:
                     # the target minus the tops of the other factors and of
                     # what multiplies the expansion inside
                     band = _sub_idx(_add_idx(total, top), f.inner[idx][1])
                     f.band = band if f.band is None else _min_idx(f.band, band)
 
-    out = []
-    for chosen, summands in plans:
-        acc = chosen[0].ring.zero()
-        if summands:
-            form = chosen[0].form
-            for f in chosen[1:-1]:
-                form = wedge(form, f.form)
-            target = (-1,) * chosen[0].n
-            for idx, a in form.comps.items():
-                if not a.terms:
-                    continue  # a zero: the last factor is evaluated only for a term
-                for i, b in chosen[-1].form.comps.items():
-                    sign, _ = _merge_sign(idx, i)
-                    if sign is not None:
-                        c = product_coefficient(a, b, target)
-                        acc = acc + c if sign == 1 else acc - c
+    out, products = [], {}
+    for chosen, summands, reached in plans:
+        ring = chosen[0].ring
+        if reached and isinstance(chosen[0].source, Log) and not ring.has_rationals():
+            raise UnsupportedRingError("log needs rational coefficients")
+        target = (-1,) * chosen[0].n
+        acc = ring.zero()
+        for sign, chain in summands:
+            a = _partial(chain[:-1], products)
+            if a is None:
+                continue  # a zero: the last factor is evaluated only for a term
+            f, idx = chain[-1]
+            b = f.form.comps.get(idx)
+            if b is not None:
+                c = product_coefficient(a, b, target)
+                acc = acc + c if sign == 1 else acc - c
         out.append(acc)
     return out
 

@@ -835,6 +835,12 @@ def _geom(i):
     return 1 if i % 2 == 0 else -1
 
 
+def _sharp_inverse(g: LaurentElt, window: Window = None) -> LaurentElt:
+    """``(1 + g)^-1`` for the generator ``g = S - 1`` of a sharp factor: exact
+    when it terminates by nilpotency, window or not, else certified under it."""
+    return _expand_series(g, _geom, window, keep_exact=True)
+
+
 def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     """Inverse of an exact invertible series, exact where possible.
 
@@ -855,7 +861,7 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
         if window is not None and any(nu):
             # a plan concerns a sharp part, whose monomial factor is 1
             window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
-        inv_s = _expand_series(g, _geom, window, keep_exact=True)
+        inv_s = _sharp_inverse(g, window)
     if c_inv is not None:
         inv_s = inv_s * c_inv
     return inv_s.shift(tuple(-x for x in nu))

@@ -90,16 +90,22 @@ class GhostVector:
             raise ParseError("ghost coordinates do not match the index set")
 
 
+def _ghost_term(coords, powers, d, i):
+    """``d * w_d^(i/d)``, each power of ``w_d`` carried in ``powers`` as the
+    previous one times ``w_d``; ``d = 1`` is not scaled."""
+    pw = powers.setdefault(d, [coords[d]])
+    while len(pw) < i // d:
+        pw.append(pw[-1] * coords[d])
+    return pw[i // d - 1] if d == 1 else pw[i // d - 1] * d
+
+
 def ghost(w: WittVector) -> GhostVector:
-    powers = {}  # d -> [w_d, w_d^2, ...], each power the previous one times w_d
+    powers = {}
     out = {}
     for i in w.S:
         acc = None
         for d in _divisors(i):
-            pw = powers.setdefault(d, [w.coords[d]])
-            while len(pw) < i // d:
-                pw.append(pw[-1] * w.coords[d])
-            term = pw[i // d - 1] * d
+            term = _ghost_term(w.coords, powers, d, i)
             acc = term if acc is None else acc + term
         out[i] = acc
     return GhostVector(w.S, out)
@@ -126,14 +132,14 @@ def ghost_to_coords(g: GhostVector):
     Over a base without rationals an inexact division raises; over the
     rationals the flag records whether the result needed new denominators.
     """
-    coords = {}
+    coords, powers = {}, {}
     integral = True
     for i in sorted(g.S):
         acc = g.ghost[i]
         for d in _divisors(i):
             if d == i:
                 continue
-            acc = acc - coords[d] ** (i // d) * d
+            acc = acc - _ghost_term(coords, powers, d, i)
         coords[i], ok = _divide(acc, i)
         integral = integral and ok
     return WittVector(g.S, coords), integral

@@ -7,7 +7,7 @@ import pytest
 from ccsym import forms, laurent
 from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.errors import ParseError, StabilityExhaustedError
+from ccsym.errors import ParseError, StabilityExhaustedError, UnsupportedRingError
 from ccsym.forms import DiffForm, Dlog, Log, certified_residue, certified_residues, dlog, wedge
 from ccsym.laurent import Window, from_terms, log_sharp, one, stable_coefficient, t_var, zero
 from ccsym.symbol import cc
@@ -109,6 +109,19 @@ def test_each_log_and_inverse_is_expanded_once_per_cc(expansions):
     assert most >= 3
 
 
+def test_trial_46_expands_only_what_a_live_summand_reaches(expansions):
+    # Expanding every factor of every summand took 3, 3 and 1 expansions.
+    # Each call's floors leave one live summand, log(S_1) * dt_2/t_2 * ...,
+    # and its first product holds no term, so one log is expanded and no
+    # inverse
+    counts = []
+    for entries in _trial_46():
+        expansions.clear()
+        cc(entries)
+        counts.append([coefs[0] for _, coefs in expansions])
+    assert counts == [[1], [1], [1]]
+
+
 def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
     # cc(t (1 + t), t (1 + e/t)): log(1 + t) meets dlog(1 + e/t), whose floor
     # is t^-3, and needs t^2; log(1 + e/t) meets only dt/t and needs t^0
@@ -157,6 +170,27 @@ def test_windowed_zero_form_below_target_raises(Q):
     g = from_terms(Q, 2, [((0, -1), 1)], Window((-1, -1), (0, -1)))
     with pytest.raises(StabilityExhaustedError):
         certified_residue(g, [Dlog(t_var(Q, 2, 1)), Dlog(t_var(Q, 2, 2))])
+
+
+def test_a_windowed_factor_of_a_dropped_summand_is_still_checked(Q):
+    # g's floor puts the one summand above the target in t_1, so it is
+    # dropped unevaluated; g is still certified only up to t_2^-5, below the
+    # t_2^0 the target asks of it, and that stays an error
+    g = from_terms(Q, 2, [((1, -5), 1)], Window((1, -5), (1, -5)))
+    with pytest.raises(StabilityExhaustedError):
+        certified_residue(g, [Dlog(t_var(Q, 2, 1)), Dlog(t_var(Q, 2, 2))])
+
+
+def test_a_log_without_rationals_is_refused_when_its_summands_are_dropped(Q, Ze):
+    # res(log(1 + t^2) dt/t) = 0: the log's floor t^2 proves the one summand
+    # zero, so nothing is expanded; over Z the log is still refused, as when it is
+    def residue(ring):
+        s = from_terms(ring, 1, [((0,), 1), ((2,), 1)])
+        return certified_residue(Log(s), [Dlog(t_var(ring, 1, 1))])
+
+    assert residue(Q) == Q.zero()
+    with pytest.raises(UnsupportedRingError):
+        residue(Ze)
 
 
 def test_factor_degrees_are_checked(Q):
