@@ -5,11 +5,16 @@ A degree-k form is a sparse map from strictly increasing index tuples
 The module provides the de Rham differential, wedge products, ``dlog`` of an
 invertible series, and the n-dimensional residue (the coefficient of
 ``t_1^-1 ... t_n^-1 dt_1 ^ ... ^ dt_n``), read either off a given form or,
-through ``certified_residue``, off a wedge of ``log`` and ``dlog`` factors
-that are expanded once, on the band the residue reads: up to the ceiling
-the floors of the other factors leave, and down to the band floor their
-tops leave.  A banded expansion is exact on its band only, so it stays
-inside ``certified_residues``.
+through ``certified_residue``, off a wedge of ``log`` and ``dlog`` factors,
+summand by summand.  A summand whose certified floors put it above the
+residue is zero and is dropped unevaluated (a ``log`` has no constant term,
+so its floor is its generator's wherever that is nonnegative).  Each other
+summand is a chain of products that stops at the first partial product
+holding no term, and a factor is expanded only when a chain reaches it:
+once, on the band the residue reads, up to the ceiling the floors of the
+other factors leave and down to the band floor their tops leave.  A banded
+expansion is exact on its band only, so it stays inside
+``certified_residues``.
 """
 
 from __future__ import annotations

@@ -63,6 +63,20 @@ def _batch(rng, ring, n):
             for _ in range(rng.randint(1, 3))]
 
 
+def _sharp(rng, ring, n, lowest):
+    """``1 +`` up to four terms at exponents in ``[lowest, 2]^n``; a term with
+    a negative exponent gets a nilpotent coefficient, so the series is sharp."""
+    pairs = [((0,) * n, 1)]
+    for _ in range(rng.randint(0, 4)):
+        l = tuple(rng.randint(lowest, 2) for _ in range(n))
+        if any(l):
+            c = random_nilpotent_coef(rng, ring)
+            if min(l) >= 0 and rng.random() < 0.5:
+                c = c + rng.choice([1, -1, 2])
+            pairs.append((l, c))
+    return from_terms(ring, n, pairs)
+
+
 def _public(x, window):
     """A residue factor as a form, from unbanded public expansions under ``window``."""
     if isinstance(x, Log):
@@ -112,8 +126,12 @@ def _recorded(batch):
 @hypothesis.given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
 def test_a_summand_dropped_as_floor_dead_is_zero(n, seed):
     # the planner's rule, read off its own floors: a summand whose floors add
-    # up above the target in some coordinate is dropped unevaluated
-    batch = _batch(random.Random(seed), default_ring(), n)
+    # up above the target in some coordinate is dropped unevaluated.  A log
+    # of a series in nonnegative powers has a floor at or above 0, so one
+    # more wedge pairs one with the 1-forms of the last
+    rng = random.Random(seed)
+    batch = _batch(rng, default_ring(), n)
+    batch.append((Log(_sharp(rng, default_ring(), n, 0)), batch[-1][1]))
     _, made = _recorded(batch)
     target = (-1,) * n
     for g, slots in batch:
@@ -129,20 +147,6 @@ def test_a_summand_dropped_as_floor_dead_is_zero(n, seed):
                                              for x, idx in zip(xs, idxs)])
 
             assert not stable_coefficient(build, target), (perm, floors)
-
-
-def _sharp(rng, ring, n, lowest):
-    """``1 +`` up to four terms at exponents in ``[lowest, 2]^n``; a term with
-    a negative exponent gets a nilpotent coefficient, so the series is sharp."""
-    pairs = [((0,) * n, 1)]
-    for _ in range(rng.randint(0, 4)):
-        l = tuple(rng.randint(lowest, 2) for _ in range(n))
-        if any(l):
-            c = random_nilpotent_coef(rng, ring)
-            if min(l) >= 0 and rng.random() < 0.5:
-                c = c + rng.choice([1, -1, 2])
-            pairs.append((l, c))
-    return from_terms(ring, n, pairs)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
