@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import Ring, json_int, json_list, json_object
+from .coeff import Coef, Ring, json_int, json_list, json_object
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -40,9 +40,9 @@ from .laurent import (
     _min_idx,
     _sharp_inverse,
     _sub_idx,
+    _unit_split,
     _unit_vector,
     coarse_split,
-    invert,
     log_sharp,
     monomial,
     one,
@@ -190,8 +190,8 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     """
     nu, _, s = coarse_split(f)
     out = dlog_monomial(f.ring, f.n, nu)
-    if s != 1:
-        out = out + d(s).scale(invert(s, window))
+    if s != 1:  # S is split already: its inverse is the geometric series in S - 1
+        out = out + d(s).scale(_sharp_inverse(s - one(f.ring, f.n), window))
     return out
 
 
@@ -214,9 +214,19 @@ def res(omega: DiffForm):
 
 @dataclass(eq=False)
 class Log:
-    """The 0-form ``log s`` of a multiplicatively sharp series."""
+    """The 0-form ``log(s / c)``, for a unit constant ``c`` (default 1) with
+    ``s / c`` multiplicatively sharp.  ``s / c`` is never formed: the
+    expansion weights the powers of ``s - c`` by those of ``c^-1``."""
 
     s: LaurentElt
+    c: object = 1
+
+    @cached_property
+    def inverse(self):
+        """``c^-1``, computed on first read (``None`` when ``c = 1``): a
+        caller that also needs it reads it here, and the expansion shares it."""
+        c = _constant(self.s.ring, self.c)
+        return None if c is None else c.inverse()
 
 
 @dataclass(eq=False)
@@ -224,6 +234,42 @@ class Dlog:
     """The 1-form ``dlog f`` of an invertible series."""
 
     f: LaurentElt
+
+
+def _constant(ring, c):
+    """``c`` as a ``Coef``, or ``None`` when it is 1."""
+    c = c if isinstance(c, Coef) else ring.from_scalar(c)
+    return None if c.is_one() else c
+
+
+class _Sharp:
+    """The sharp part ``S = g / c`` of one series, as the planner expands it,
+    without forming it: ``g`` has constant term ``c`` (for a ``Log``, up to
+    a nilpotent), ``h = g - c`` is the generator, ``parts`` its
+    ``_generator_parts`` and ``scale = c^-1`` (``None`` when ``c = 1``), so
+    ``S - 1 = scale * h``.  ``h`` keeps the small coefficients of ``g``;
+    ``c^-1`` enters each expansion once per power.  ``S - 1`` is a unit
+    multiple of ``h`` term by term, so both have the same support, the same
+    unit and nilpotent terms and the same floor (``laurent._nil_cost``): the
+    parts of ``h`` plan ``S`` exactly.
+
+    One record serves every factor of a batch that expands the same series
+    and constant, such as the ``Log`` and ``Dlog`` of a symbol slot.
+    ``scale`` is computed only when an expansion is evaluated, and taken from
+    a ``Log`` of the record (``log``) when there is one, which the caller may
+    have read already.
+    """
+
+    def __init__(self, g, c, log=None):
+        self.g, self.c, self.log = g, c, log
+        self.h = g - (one(g.ring, g.n) if c is None else c)
+        self.parts = _generator_parts(self.h)
+
+    @cached_property
+    def scale(self):
+        if self.c is None:
+            return None
+        return self.c.inverse() if self.log is None else self.log.inverse
 
 
 def _max_idx(l, m):
@@ -254,8 +300,10 @@ class _Factor:
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
     ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse of the sharp series ``s``, split once here: ``g = s - 1`` is its
-    generator, ``parts`` are the ``_generator_parts`` of ``g``, ``low`` the
+    inverse of a sharp part, planned off its record ``sharp`` (a
+    :class:`_Sharp`, shared through ``key`` by the factors of a batch that
+    expand the same one; ``certified_residues`` binds it before anything
+    reads it): ``parts`` are its ``_generator_parts``, ``low`` the
     expansion's floor (for a log, the tighter :func:`_log_floor`), and
     ``windowed`` whether it is windowed (and so cut at its band) or exact.
     ``inner`` maps the components holding it to the floor and the top of
@@ -265,47 +313,75 @@ class _Factor:
     """
 
     def __init__(self, x):
-        self.source, self.floors, self.inner, self.his = x, {}, {}, {}
-        self.parts = self.low = self.need = self.band = None
-        self.windowed = False
+        self.source, self.his, self.key = x, {}, None
+        self.need = self.band = None
         if isinstance(x, Log):
             s, self.degree = x.s, 0
-            self._expands(s)
-            self.windowed = True
-            self.low = _log_floor(self.g, self.low)
-            self.floors[()] = self.low
-            self.inner[()] = ((0,) * s.n,) * 2
+            self.c = _constant(s.ring, x.c)
+            self.key = (id(s), (0,) * s.n, self.c)
         elif isinstance(x, Dlog):
-            self.nu, _, s = coarse_split(x.f)
-            self.degree = 1
-            for j in range(1, s.n + 1):
-                if self.nu[j - 1]:
-                    self.floors[(j,)] = _unit_vector(s.n, j, -1)
-            if s != 1:
-                self._expands(s)
-                self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
-                for j in range(1, s.n + 1):  # the support of d(s), read off s
-                    e = _unit_vector(s.n, j)
-                    support = [_sub_idx(l, e) for l in s.terms if l[j - 1]]
-                    if support:
-                        coords = list(zip(*support))
-                        self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
-                for idx, (lo, _) in self.inner.items():
-                    lo = _add_idx(lo, self.low)
-                    self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
+            self.nu, c, s = _unit_split(x.f)  # split once, never divided by c
+            self.degree, self.g = 1, s
+            if len(s.terms) > 1:  # S != 1
+                self.c = None if c.is_one() else c
+                self.key = (id(x.f), self.nu, self.c)
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
             self.degree = s.degree
             for idx, part in s.comps.items():
-                self.floors[idx] = part._floor() or (0,) * s.n
                 if part.hi is not None:
                     self.his[idx] = part.hi
         self.ring, self.n = s.ring, s.n
 
-    def _expands(self, s):
-        self.s, self.g = s, s - one(s.ring, s.n)
-        self.parts = _generator_parts(self.g)
-        self.low = self.parts[2]
+    @cached_property
+    def sharp(self):
+        """This factor's own record, unless one was bound before the first read."""
+        if self.key is None:
+            return None
+        x = self.source
+        return _Sharp(x.s, self.c, x) if isinstance(x, Log) else _Sharp(self.g, self.c)
+
+    @property
+    def parts(self):
+        return None if self.sharp is None else self.sharp.parts
+
+    @property
+    def windowed(self):
+        return isinstance(self.source, Log) or (self.sharp is not None and bool(self.parts[0]))
+
+    @cached_property
+    def low(self):
+        if self.sharp is None:
+            return None
+        low = self.parts[2]
+        return _log_floor(self.sharp.h, low) if isinstance(self.source, Log) else low
+
+    @cached_property
+    def inner(self):
+        if isinstance(self.source, Log):
+            return {(): ((0,) * self.n,) * 2}
+        inner = {}
+        if self.sharp is not None:
+            for j in range(1, self.n + 1):  # the support of d(S), read off g
+                e = _unit_vector(self.n, j)
+                support = [_sub_idx(l, e) for l in self.g.terms if l[j - 1]]
+                if support:
+                    coords = list(zip(*support))
+                    inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
+        return inner
+
+    @cached_property
+    def floors(self):
+        if isinstance(self.source, Log):
+            return {(): self.low}
+        if not isinstance(self.source, Dlog):
+            return {idx: part._floor() or (0,) * self.n for idx, part in self.form.comps.items()}
+        floors = {(j,): _unit_vector(self.n, j, -1)
+                  for j in range(1, self.n + 1) if self.nu[j - 1]}
+        for idx, (lo, _) in self.inner.items():
+            lo = _add_idx(lo, self.low)
+            floors[idx] = _min_idx(floors.get(idx, lo), lo)
+        return floors
 
     @property
     def ceiling(self):
@@ -319,7 +395,7 @@ class _Factor:
         and where the expansion sits, the top of what multiplies it plus the
         expansion's own.  That is its ceiling when it is windowed.  An
         inverse that terminates by nilpotency is exact, a sum of products of
-        nilpotent terms; it enters only multiplied by ``d_j s``, whose
+        nilpotent terms; it enters only multiplied by ``d_j S``, whose
         coefficients are nilpotent too, so at most ``nil_index - 2`` of them
         survive."""
         if isinstance(self.source, Log):
@@ -331,7 +407,7 @@ class _Factor:
             return {idx: part.hi if part.hi is not None else tuple(map(max, zip(*part.terms)))
                     for idx, part in self.form.comps.items()}
         if self.inner:
-            depth = self.ring.nil_index - 2  # a nilpotent term of g exists: nil_index >= 2
+            depth = self.ring.nil_index - 2  # a nilpotent term of h exists: nil_index >= 2
             reach = self.ceiling if self.windowed else tuple(
                 depth * max((max(0, l[j]) for l in self.parts[1]), default=0)
                 for j in range(self.n))
@@ -343,18 +419,23 @@ class _Factor:
     def form(self):
         """The factor as a form, its expansion certified up to its ceiling
         and banded: exact from ``band`` up only, so it never leaves here.
-        A log carries the floor the planner read, :func:`_log_floor`."""
-        hi, band = self.ceiling, self.band
+        A log carries the floor the planner read, :func:`_log_floor`.  The
+        expansion runs over ``h`` with the weights ``c^-i``, and a ``Dlog``
+        is ``dlog t^nu + d(g) * c^-1 * S^-1``."""
+        sharp, hi, band = self.sharp, self.ceiling, self.band
         if band is not None and _le_idx(band, self.low):
             band = None  # the expansion holds nothing below its floor: no cut
-        window = None if self.parts is None else \
-            _Planned(_min_idx(self.low, hi), hi, band, self.parts)
+        window = None if sharp is None else \
+            _Planned(_min_idx(self.low, hi), hi, band, sharp.parts, sharp.h, sharp.scale)
         if isinstance(self.source, Log):
-            log = log_sharp(self.s, window)
+            log = log_sharp(self.source.s, window)
             return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
         out = dlog_monomial(self.ring, self.n, self.nu)
-        if self.parts is not None:  # d(s) / s, as in dlog
-            out = out + d(self.s).scale(_sharp_inverse(self.g, window))
+        if sharp is not None:
+            dg = d(sharp.g)
+            if sharp.scale is not None:
+                dg = dg.scale(sharp.scale)
+            out = out + dg.scale(_sharp_inverse(sharp.h, window))
         return out
 
 
@@ -413,14 +494,22 @@ def certified_residues(terms):
     ``StabilityExhaustedError`` before anything is expanded, in a dropped
     summand as in a live one.
     """
-    factors, plans = {}, []
+    factors, shared, plans = {}, {}, []
     for g, slots in terms:
         n = len(slots)
         target = (-1,) * n
         chosen = []
         for x, degree in [(g, 0)] + [(w, 1) for w in slots]:
             if id(x) not in factors:
-                factors[id(x)] = _Factor(x)
+                f = factors[id(x)] = _Factor(x)
+                if f.key is not None:  # one record per series and constant
+                    rec = shared.get(f.key)
+                    if rec is None:
+                        shared[f.key] = f.sharp
+                    else:
+                        f.sharp = rec
+                        if rec.log is None and isinstance(x, Log):
+                            rec.log = x
             if factors[id(x)].degree != degree:
                 raise ParseError(f"a residue factor of degree {factors[id(x)].degree} "
                                  f"where {degree} is due")

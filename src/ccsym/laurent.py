@@ -125,9 +125,17 @@ class Window:
 class _Planned(Window):
     """The window ``forms.certified_residues`` plans for one ``log`` or
     inverse expansion: besides the ceiling ``hi``, the lowest index ``band``
-    (``None``: no band) any read of the residue can reach, and the
-    ``_generator_parts`` of the expansion's generator ``s - 1`` (``s`` the
-    sharp part), computed once by the planner.
+    (``None``: no band) any read of the residue can reach, the
+    ``_generator_parts`` of the expansion's generator, computed once by the
+    planner, and the generator itself with a scale.
+
+    The sharp part ``S = g / c`` of a series (``g = t^-nu f``, ``c`` its
+    constant term) is never formed: the generator ``gen`` is ``h = g - c``,
+    and ``scale`` is ``c^-1`` (``None`` when ``c = 1``), so that
+    ``S - 1 = scale * h`` and the expansion weights ``h^i`` by ``scale^i``.
+    ``h`` and ``S - 1`` have the same support, partition and floor (see
+    ``_nil_cost``), so the parts of either plan both.  ``gen`` may be
+    ``None``: the caller's series then gives the generator.
 
     A series expanded under a band holds its coefficients on ``[band, hi]``
     only and reads zero below, so it is no certified value: only
@@ -135,9 +143,9 @@ class _Planned(Window):
     A plain subclass: a dataclass would cost a millisecond at every import.
     """
 
-    def __init__(self, lo, hi, band, parts):
+    def __init__(self, lo, hi, band, parts, gen=None, scale=None):
         super().__init__(lo, hi)
-        self.band, self.parts = band, parts
+        self.band, self.parts, self.gen, self.scale = band, parts, gen, scale
 
 
 class LaurentElt:
@@ -692,32 +700,46 @@ def _generator_parts(g: LaurentElt):
         raise StabilityExhaustedError(
             "expansion generator has a unit coefficient in a mixed lex direction; "
             "its tail cannot be captured by any box window")
-    floor = tuple(-_nil_depth(g.ring, [(-l[j], g.terms[l]) for l in nil_idx if l[j] < 0])
+    costs = {l: _nil_cost(g.ring, g.terms[l]) for l in nil_idx if min(l) < 0}
+    floor = tuple(-_nil_depth(g.ring, [(-l[j], costs[l]) for l in costs if l[j] < 0])
                   for j in range(g.n))
     return unit_idx, nil_idx, floor
 
 
+def _nil_cost(ring, c):
+    """What a nilpotent ``c`` draws per factor on each budget of
+    :func:`_nil_depth`: the least exponent of each nil generator over the
+    monomials of ``c``, then their least nil degree.
+
+    Both read the lowest-graded part of ``c`` only, so a unit factor ``u``
+    leaves them as they are: reduction mod a nil generator (or mod the
+    elements of positive nil degree) is a ring map onto the degree-0 part,
+    so that part of ``u`` is a unit there, and multiplying by it is
+    injective on each graded piece.  ``c * u`` and ``c`` thus have the same
+    cost, and so a generator and its multiple by a unit the same floor.
+    """
+    nil = [e[ring.nfree:] for e in c.terms]
+    return ([min(e[k] for e in nil) for k in range(len(ring.nil_orders))]
+            + [min(sum(e) for e in nil)])
+
+
 def _nil_depth(ring, items):
-    """Largest ``sum v`` over the nonzero products of the coefficients ``c``
-    of ``items`` (pairs ``(v, c)``, ``v > 0``, repetition allowed).
+    """Largest ``sum v`` over the nonzero products of nilpotent coefficients
+    given as ``items``, pairs ``(v, cost)`` with ``v > 0`` and ``cost`` from
+    :func:`_nil_cost` (repetition allowed).
 
     A nonzero product has at most ``nil_index - 1`` factors.  It also dies
     once the exponents of some nil generator add up to its order, or its nil
-    degree passes the ring's cap: a budget that every ``c`` draws on (at
-    least ``cost(c)`` per factor) bounds the sum by ``budget * max(v / cost)``.
+    degree passes the ring's cap: a budget that every factor draws on (at
+    least its ``cost`` per factor) bounds the sum by ``budget * max(v / cost)``.
     """
     if not items:
         return 0
     best = (ring.nil_index - 1) * max(v for v, _ in items)
     budgets = [d - 1 for d in ring.nil_orders] + [ring._max_nildeg]
-    costs = []
-    for v, c in items:
-        nil = [e[ring.nfree:] for e in c.terms]
-        costs.append((v, [min(e[k] for e in nil) for k in range(len(ring.nil_orders))]
-                      + [min(sum(e) for e in nil)]))
     for k, budget in enumerate(budgets):
-        if all(cost[k] > 0 for _, cost in costs):
-            best = min(best, max(budget * v // cost[k] for v, cost in costs))
+        if all(cost[k] > 0 for _, cost in items):
+            best = min(best, max(budget * v // cost[k] for v, cost in items))
     return best
 
 
@@ -743,7 +765,10 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
     nonnegative (no unknown term can then re-enter the certified box); the
     result's ceiling shrinks to the generator's.
 
-    Under a :class:`_Planned` window with a band, a windowed sum is also cut
+    Under a :class:`_Planned` window with a scale ``w``, the sum is of
+    ``coeff_at(i) * w^i * g^i``: the powers of ``g`` keep their small
+    coefficients, and ``w^i`` enters once per power, in the accumulation.
+    Under one with a band, a windowed sum is also cut
     from below: ``g^i`` at the lowest index from which the factors still to
     come can bring a term back up to ``band`` (each raises ``t_j`` by at most
     the largest positive ``t_j`` exponent of a term of ``g``), and
@@ -788,9 +813,13 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
         near = max((b - w - 1) // d if d else (budget if b > w else -1)
                    for w, b, d in zip(work_lo, band, pos))
 
+    scale = window.scale if planned else None
+    weight = ring.one()  # scale^i
+
     def scalar_at(i):
         c = coeff_at(i)
-        return c if isinstance(c, Coef) else ring.from_scalar(c)
+        c = c if isinstance(c, Coef) else ring.from_scalar(c)
+        return c if scale is None or not c else c * weight
 
     g_den, g_flat = _flat(g.terms)
     acc_den, acc = 1, {}
@@ -806,6 +835,8 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
             den, p = _carried(ring, _flat_product(ring, p, g_flat, top, bottom), den * g_den)
             if not p:
                 break
+            if scale is not None:
+                weight = weight * scale
         s = scalar_at(i)
         if not s:
             continue
@@ -872,11 +903,15 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
 
     Without a window the sum must terminate by nilpotency and is exact; with
     one it is certified up to ``window.hi``, above the expansion floor of
-    ``f - 1``, also when it terminates.
+    ``f - 1``, also when it terminates.  A :class:`_Planned` window that
+    carries a generator gives it instead of ``f - 1``, with its scale.
     """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    return _expand_series(f - one(f.ring, f.n), log_coefficient, window)
+    g = window.gen if isinstance(window, _Planned) else None
+    if g is None:
+        g = f - one(f.ring, f.n)
+    return _expand_series(g, log_coefficient, window)
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:

@@ -11,10 +11,12 @@ elementary values:
   inverse expanded once, up to the ceiling the residue needs) and checked
   nilpotent before exponentiating.
 
-Each slot is split once, to ``nu``, ``c`` and ``t^-nu * f``.  The sharp
-factor ``S = t^-nu * f * c^-1`` is formed only for a slot that some exp-res
-subset reads, and ``c^-1`` is computed at most once per slot, shared by
-``S`` and a negative constant-slot exponent.
+Each slot is split once, to ``nu``, ``c`` and ``g = t^-nu * f``.  The sharp
+factor ``S = g * c^-1`` is never formed: a slot that some exp-res subset
+reads goes to the residues as ``Log(g, c)`` and ``Dlog(g)``, which expand
+from ``g - c`` with the weights ``c^-i``.  ``c^-1`` is computed at most
+once per slot, and only where a negative constant-slot exponent or an
+evaluated expansion reads it.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
 Khovanskii product form; the additive symbol is the determinant of the
@@ -125,8 +127,10 @@ def cc(entries, want_trace=False):
 
     Requires rational coefficients whenever a sharp (exp-res) branch
     contributes; purely monomial/constant inputs evaluate over any base.
-    A slot's sharp factor is formed only when an exp-res subset reads it,
-    and its ``c^-1`` at most once.
+    No sharp factor ``S = t^-nu f c^-1`` is formed: a slot an exp-res subset
+    reads enters the residues as ``t^-nu f`` and ``c``, and its ``c^-1`` is
+    computed at most once, shared by a negative constant-slot exponent and
+    the slot's ``Log``.
     """
     entries = list(entries)
     if not entries:
@@ -139,12 +143,16 @@ def cc(entries, want_trace=False):
     require_exact(entries, "cc")
     splits = [_unit_split(f) for f in entries]
     nus = [nu for nu, _, _ in splits]
-    inverses = {}
-
-    def c_inv(i):  # each slot's c^-1 is computed at most once
-        if i not in inverses:
-            inverses[i] = splits[i][1].inverse()
-        return inverses[i]
+    idx = [i for i, (_, _, g) in enumerate(splits) if len(g.terms) > 1]  # S != 1
+    subsets = []
+    for mask in range(1, 1 << len(idx)):
+        t_set = {idx[b] for b in range(len(idx)) if mask >> b & 1}
+        if any(not any(nus[j]) for j in range(n + 1) if j not in t_set):
+            continue
+        subsets.append(t_set)
+    # log(t^-nu f / c) of each slot that is least in some subset; its c^-1 is
+    # computed once, on first read, here or by the expansion
+    logs = {k: Log(splits[k][2], splits[k][1]) for k in {min(t_set) for t_set in subsets}}
 
     trace = [] if want_trace else None  # its strings are built only on request
     value = ring.one()
@@ -162,27 +170,18 @@ def cc(entries, want_trace=False):
         if dt == 0:
             continue
         exponent = dt if i % 2 == 0 else -dt
-        value = value * (c ** exponent if exponent > 0 else c_inv(i) ** -exponent)
+        c_inv = logs[i].inverse if i in logs else c.inverse()
+        value = value * (c ** exponent if exponent > 0 else c_inv ** -exponent)
         if trace is not None:
             trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
 
-    idx = [i for i, (_, _, g) in enumerate(splits) if len(g.terms) > 1]  # S != 1
-    subsets = []
-    for mask in range(1, 1 << len(idx)):
-        t_set = {idx[b] for b in range(len(idx)) if mask >> b & 1}
-        if any(not any(nus[j]) for j in range(n + 1) if j not in t_set):
-            continue
-        subsets.append(t_set)
     if subsets:
         if not ring.has_rationals():
             raise UnsupportedRingError(
                 "exp-res branch needs rational coefficients; over integral bases "
                 "use the universal integral series (ccsym.universal.evaluate_phi)")
-        sharp = {}  # S = t^-nu f c^-1, only for the slots a subset reads
-        for i in sorted(set().union(*subsets)):
-            _, c, g = splits[i]
-            sharp[i] = g if c.is_one() else g * c_inv(i)
-        total = _sharp_contribution(ring, n, nus, sharp, subsets, trace)
+        dlogs = {j: Dlog(splits[j][2]) for j in set().union(*subsets)}
+        total = _sharp_contribution(ring, n, nus, logs, dlogs, subsets, trace)
         if not total.is_nilpotent():
             raise InternalConsistencyError(
                 f"residue {total} of the sharp branch is not nilpotent")
@@ -191,16 +190,15 @@ def cc(entries, want_trace=False):
     return (value, trace) if want_trace else value
 
 
-def _sharp_contribution(ring, n, nus, sharp, subsets, trace):
+def _sharp_contribution(ring, n, nus, logs, dlogs, subsets, trace):
     """Sum of the signed residues res(log S_k ^ ...), one per subset of sharp slots.
 
-    A subset T with least slot k contributes log of k's sharp factor, dlog of
-    the sharp factors of the other slots in T and the monomial dlog of the
-    slots outside T; all of them go to one certified evaluation.  A ``trace``
-    list, when given, gets one line per nonzero residue.
+    A subset T with least slot k contributes ``logs[k]``, the log of k's
+    sharp factor, ``dlogs[j]`` for the other slots j in T (``dlog S_j`` is
+    ``dlog(t^-nu f_j)``, the constant dropping out) and the monomial dlog of
+    the slots outside T; all of them go to one certified evaluation.  A
+    ``trace`` list, when given, gets one line per nonzero residue.
     """
-    logs = {k: Log(s_part) for k, s_part in sharp.items()}
-    dlogs = {j: Dlog(s_part) for j, s_part in sharp.items()}
     monomials = [dlog_monomial(ring, n, nu) for nu in nus]
     terms = []
     for t_set in subsets:

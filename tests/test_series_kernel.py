@@ -454,3 +454,118 @@ def test_free_overflow_is_dropped_in_a_dead_series_product():
     g = from_terms(ring, 1, [((1,), _huge(ring, nil=2))])
     assert compose_series([1, 1, 1], g) == g + 1
     assert isinstance(a * a, LaurentElt)
+
+
+# -- sharp parts weighted by c^-i ----------------------------------------------------------
+
+# The residue planner expands the sharp part S = g / c of g = c + h (c the
+# constant term) from h, weighting h^i by c^-i, and never forms S.
+WEIGHTED = {
+    "Q[e1^2, e2^3]": RINGS["Q[e1^2, e2^3]"],
+    "Q[e^3]": ring_new(RingSpec("Q", nil=(("e", 3),))),
+    "Q[u; e^2, f^2]": ring_new(RingSpec("Q", free=("u",), nil=(("e", 2), ("f", 2)))),
+    "Q[a..e ^4; deg <= 3]": ring_new(RingSpec(
+        "Q", nil=tuple((x, 4) for x in "abcde"), nil_total_cap=3)),
+}
+
+
+_QE3 = WEIGHTED["Q[e^3]"]
+_E3, _C = _QE3.gen("e"), _QE3.from_scalar(2) + _QE3.gen("e")
+# the weight of h^i taken as c^-(i+1) scales log(1 + e t / (2 + e)) at t^1
+SCALE_POWER = Replay(1, from_terms(_QE3, 1, [((1,), _E3)]), _C, (1,), (0,))
+# a Dlog that drops its c^-1 reads res(log(1 + e/(2 + e) t^-1) dlog(1 + t/(2 + e)))
+# without the 1 / (2 + e) of d(S)
+DLOG_SCALE = Replay(from_terms(_QE3, 1, [((-1,), _E3)]), from_terms(_QE3, 1, [((1,), 1)]),
+                    _C, _C, 0)
+
+
+@st.composite
+def weighted_constants(draw, ring):
+    """A unit ``a0 + N`` with ``a0 != 1`` and ``N`` a nonzero nilpotent."""
+    a0 = draw(st.sampled_from([2, -1, 3, Fraction(1, 2), Fraction(-3, 2)]))
+    nil = draw(coefs(ring, nilpotent=True).filter(bool))
+    return ring.from_scalar(a0) + nil
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+@PER_RING
+@example(data=SCALE_POWER)
+@given(data=st.data())
+def test_weighted_expansions_match_the_normalized_ones(name, data):
+    """``log`` and inverse of ``1 + h/c`` from ``h`` with the scale ``c^-1``
+    equal those of ``S = (c + h) * c^-1`` from ``S - 1``: exact, windowed,
+    and planned with a band, with the same ceiling and floor."""
+    ring, n = WEIGHTED[name], data.draw(st.integers(1, 2))
+    h = data.draw(sharp_generators(ring, n, constant=False))
+    hypothesis.assume(h.terms)
+    c = data.draw(weighted_constants(ring))
+    scale = c.inverse()
+    s = (h + c) * scale
+    parts = laurent._generator_parts(h)
+    assert parts == laurent._generator_parts(s - 1)
+    hi = data.draw(_indices(n, -1, 3))
+    lo = tuple(min(x, -1) for x in hi)
+    for band in (None, data.draw(_indices(n, -4, 3))):
+        weighted = laurent._Planned(lo, hi, band, parts, h, scale)
+        normalized = laurent._Planned(lo, hi, band, parts)
+        assert log_sharp(h + c, weighted) == log_sharp(s, normalized)
+        assert (laurent._sharp_inverse(h, weighted)
+                == laurent._sharp_inverse(s - 1, normalized))
+    if not parts[0]:  # terminating: the inverse is exact, window or not
+        exact = laurent._sharp_inverse(h, laurent._Planned(lo, hi, None, parts, h, scale))
+        assert exact.is_exact() and exact == laurent._sharp_inverse(s - 1)
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+@PER_RING
+@example(data=DLOG_SCALE)
+@given(data=st.data())
+def test_weighted_residue_factors_match_the_normalized_ones(name, data):
+    """``res(log(g_1 / c_1) dlog(t^nu g_2))``, planned from ``g_k - c_k``
+    with the weights ``c_k^-i``, equals the residue of the normalized sharp
+    parts ``S_k = g_k * c_k^-1``; a ``Dlog`` that drops its ``c^-1`` is off
+    by that unit."""
+    from ccsym.forms import Dlog, Log, certified_residue
+
+    ring = WEIGHTED[name]
+    hs = [data.draw(sharp_generators(ring, 1, constant=False)) for _ in range(2)]
+    cs = [data.draw(weighted_constants(ring)) for _ in range(2)]
+    gs = [h + c for h, c in zip(hs, cs)]
+    nu = data.draw(st.integers(-1, 1))
+    f2 = gs[1].shift((nu,))
+    sharp = [g * c.inverse() for g, c in zip(gs, cs)]
+    want = certified_residue(Log(sharp[0]), [Dlog(sharp[1].shift((nu,)))])
+    assert certified_residue(Log(gs[0], cs[0]), [Dlog(f2)]) == want
+
+
+@pytest.mark.parametrize("name", CONNECTED)
+@PER_RING
+@given(data=st.data())
+def test_the_unnormalized_generator_plans_as_the_sharp_part(name, data):
+    """``_generator_parts(t^-nu f - c)`` equals ``_generator_parts(S - 1)``
+    for ``f = t^nu * c * S``: unit and nilpotent terms and floor alike, or
+    the same refusal.  ``S - 1`` is ``c^-1`` times ``t^-nu f - c`` term by
+    term, and a unit factor keeps each term's lowest-graded part up to a
+    unit (``laurent._nil_cost``)."""
+    ring, n = RINGS[name], data.draw(st.integers(1, 2))
+    h = data.draw(sharp_generators(ring, n, constant=False))
+    if ring.base == "Q":
+        a0 = data.draw(st.sampled_from([1, 2, -1, Fraction(1, 3)]))
+    elif ring.modulus:
+        a0 = data.draw(st.sampled_from([u for u in range(1, ring.modulus)
+                                        if math.gcd(u, ring.modulus) == 1]))
+    else:
+        a0 = data.draw(st.sampled_from([1, -1]))
+    c = ring.from_scalar(a0) + data.draw(coefs(ring, nilpotent=True))
+    nu = data.draw(_indices(n, -2, 2))
+    f = (h + c).shift(nu)
+
+    def parts(g):
+        try:
+            return laurent._generator_parts(g)
+        except Exception as exc:  # the same refusal on both sides
+            return type(exc)
+
+    got_nu, got_c, g = laurent._unit_split(f)
+    assert (got_nu, got_c) == (nu, c)
+    assert parts(g - c) == parts(laurent.coarse_split(f)[2] - 1)
