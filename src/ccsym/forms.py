@@ -244,20 +244,17 @@ def _constant(ring, c):
 
 class _Sharp:
     """The sharp part ``S = g / c`` of one series, as the planner expands it,
-    without forming it: ``g`` has constant term ``c`` (for a ``Log``, up to
-    a nilpotent), ``h = g - c`` is the generator, ``parts`` its
-    ``_generator_parts`` and ``scale = c^-1`` (``None`` when ``c = 1``), so
-    ``S - 1 = scale * h``.  ``h`` keeps the small coefficients of ``g``;
-    ``c^-1`` enters each expansion once per power.  ``S - 1`` is a unit
-    multiple of ``h`` term by term, so both have the same support, the same
-    unit and nilpotent terms and the same floor (``laurent._nil_cost``): the
-    parts of ``h`` plan ``S`` exactly.
+    without forming it: ``g`` has constant term ``c`` (``None`` for 1; for a
+    ``Log``, up to a nilpotent), and ``h = g - c`` plans it, with its
+    ``_generator_parts`` in ``parts``.  ``S - 1`` is ``c^-1 h`` term by term,
+    so both have the same support, the same unit and nilpotent terms and the
+    same floor (``laurent._nil_cost``): the parts of ``h`` plan ``S`` exactly.
 
     One record serves every factor of a batch that expands the same series
     and constant, such as the ``Log`` and ``Dlog`` of a symbol slot.
-    ``scale`` is computed only when an expansion is evaluated, and taken from
-    a ``Log`` of the record (``log``) when there is one, which the caller may
-    have read already.
+    ``scale`` is read only when an expansion is evaluated, and ``c^-1`` is
+    then taken from a ``Log`` of the record (``log``) when there is one,
+    which the caller may have read already.
     """
 
     def __init__(self, g, c, log=None):
@@ -267,6 +264,9 @@ class _Sharp:
 
     @cached_property
     def scale(self):
+        """``c^-1`` (``None`` when ``c = 1``), whose powers weight those of
+        ``h`` in each expansion, so that ``h^i`` keeps the small
+        coefficients of ``g``."""
         if self.c is None:
             return None
         return self.c.inverse() if self.log is None else self.log.inverse
@@ -299,32 +299,33 @@ class _Factor:
     """One factor of a residue, described before anything is expanded.
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
-    ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse of a sharp part, planned off its record ``sharp`` (a
-    :class:`_Sharp`, shared through ``key`` by the factors of a batch that
-    expand the same one; ``certified_residues`` binds it before anything
-    reads it): ``parts`` are its ``_generator_parts``, ``low`` the
-    expansion's floor (for a log, the tighter :func:`_log_floor`), and
-    ``windowed`` whether it is windowed (and so cut at its band) or exact.
-    ``inner`` maps the components holding it to the floor and the top of
-    what multiplies it there; ``need`` gathers the ceiling it must reach and
-    ``band`` the lowest index a read of it reaches.  ``his`` are the ceilings
-    of a windowed input.
+    ``dt_i``) to its certified floor; its first read plans the factor.  The
+    factor's expansion is a log or an inverse of a sharp part, planned off
+    its record ``sharp`` (a :class:`_Sharp`, which :meth:`bind` shares
+    through ``key`` among the factors of a batch that expand the same one):
+    ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
+    (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
+    is windowed (and so cut at its band) or exact.  ``inner`` maps the
+    components holding it to the floor and the top of what multiplies it
+    there; ``need`` gathers the ceiling it must reach and ``band`` the
+    lowest index a read of it reaches.  ``his`` are the ceilings of a
+    windowed input.
     """
 
     def __init__(self, x):
-        self.source, self.his, self.key = x, {}, None
-        self.need = self.band = None
+        self.source, self.inner, self.his, self.key, self.sharp = x, {}, {}, None, None
+        self.parts = self.low = self.need = self.band = None
+        self.windowed = False
         if isinstance(x, Log):
             s, self.degree = x.s, 0
             self.c = _constant(s.ring, x.c)
-            self.key = (id(s), (0,) * s.n, self.c)
+            self.key = (id(s), (0,) * s.n, id(self.c))
         elif isinstance(x, Dlog):
             self.nu, c, s = _unit_split(x.f)  # split once, never divided by c
             self.degree, self.g = 1, s
             if len(s.terms) > 1:  # S != 1
                 self.c = None if c.is_one() else c
-                self.key = (id(x.f), self.nu, self.c)
+                self.key = (id(x.f), self.nu, id(self.c))
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
             self.degree = s.degree
@@ -333,51 +334,43 @@ class _Factor:
                     self.his[idx] = part.hi
         self.ring, self.n = s.ring, s.n
 
-    @cached_property
-    def sharp(self):
-        """This factor's own record, unless one was bound before the first read."""
-        if self.key is None:
-            return None
-        x = self.source
-        return _Sharp(x.s, self.c, x) if isinstance(x, Log) else _Sharp(self.g, self.c)
-
-    @property
-    def parts(self):
-        return None if self.sharp is None else self.sharp.parts
-
-    @property
-    def windowed(self):
-        return isinstance(self.source, Log) or (self.sharp is not None and bool(self.parts[0]))
-
-    @cached_property
-    def low(self):
-        if self.sharp is None:
-            return None
-        low = self.parts[2]
-        return _log_floor(self.sharp.h, low) if isinstance(self.source, Log) else low
-
-    @cached_property
-    def inner(self):
-        if isinstance(self.source, Log):
-            return {(): ((0,) * self.n,) * 2}
-        inner = {}
-        if self.sharp is not None:
-            for j in range(1, self.n + 1):  # the support of d(S), read off g
-                e = _unit_vector(self.n, j)
-                support = [_sub_idx(l, e) for l in self.g.terms if l[j - 1]]
-                if support:
-                    coords = list(zip(*support))
-                    inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
-        return inner
+    def bind(self, shared):
+        """Take the record of this factor's series and constant from
+        ``shared`` (keyed by ``key``; the records of a batch), or make it."""
+        x, rec = self.source, shared.get(self.key)
+        if rec is None:
+            rec = shared[self.key] = \
+                _Sharp(x.s, self.c, x) if isinstance(x, Log) else _Sharp(self.g, self.c)
+        elif rec.log is None and isinstance(x, Log):
+            rec.log = x
+        self.sharp = rec
 
     @cached_property
     def floors(self):
-        if isinstance(self.source, Log):
+        x, n = self.source, self.n
+        if not isinstance(x, (Log, Dlog)):
+            return {idx: part._floor() or (0,) * n for idx, part in self.form.comps.items()}
+        floors = {}
+        if isinstance(x, Dlog):
+            floors = {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
+        if self.key is None:
+            return floors
+        if self.sharp is None:
+            self.bind({})
+        self.parts = self.sharp.parts
+        self.low = self.parts[2]
+        if isinstance(x, Log):
+            self.windowed = True
+            self.low = _log_floor(self.sharp.h, self.low)
+            self.inner[()] = ((0,) * n,) * 2
             return {(): self.low}
-        if not isinstance(self.source, Dlog):
-            return {idx: part._floor() or (0,) * self.n for idx, part in self.form.comps.items()}
-        floors = {(j,): _unit_vector(self.n, j, -1)
-                  for j in range(1, self.n + 1) if self.nu[j - 1]}
+        self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
+        for j in range(1, n + 1):  # the support of d(S), read off g
+            e = _unit_vector(n, j)
+            support = [_sub_idx(l, e) for l in self.g.terms if l[j - 1]]
+            if support:
+                coords = list(zip(*support))
+                self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
         for idx, (lo, _) in self.inner.items():
             lo = _add_idx(lo, self.low)
             floors[idx] = _min_idx(floors.get(idx, lo), lo)
@@ -421,21 +414,20 @@ class _Factor:
         and banded: exact from ``band`` up only, so it never leaves here.
         A log carries the floor the planner read, :func:`_log_floor`.  The
         expansion runs over ``h`` with the weights ``c^-i``, and a ``Dlog``
-        is ``dlog t^nu + d(g) * c^-1 * S^-1``."""
-        sharp, hi, band = self.sharp, self.ceiling, self.band
+        is ``dlog t^nu + c^-1 d(h) * S^-1``."""
+        hi, band = self.ceiling, self.band
         if band is not None and _le_idx(band, self.low):
             band = None  # the expansion holds nothing below its floor: no cut
+        sharp = self.sharp
         window = None if sharp is None else \
-            _Planned(_min_idx(self.low, hi), hi, band, sharp.parts, sharp.h, sharp.scale)
+            _Planned(_min_idx(self.low, hi), hi, band, self.parts, sharp.h, sharp.scale)
         if isinstance(self.source, Log):
             log = log_sharp(self.source.s, window)
             return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
         out = dlog_monomial(self.ring, self.n, self.nu)
-        if sharp is not None:
-            dg = d(sharp.g)
-            if sharp.scale is not None:
-                dg = dg.scale(sharp.scale)
-            out = out + dg.scale(_sharp_inverse(sharp.h, window))
+        if sharp is not None:  # d(S) = c^-1 d(h)
+            ds = d(sharp.h) if sharp.scale is None else d(sharp.h).scale(sharp.scale)
+            out = out + ds.scale(_sharp_inverse(sharp.h, window))
         return out
 
 
@@ -502,14 +494,8 @@ def certified_residues(terms):
         for x, degree in [(g, 0)] + [(w, 1) for w in slots]:
             if id(x) not in factors:
                 f = factors[id(x)] = _Factor(x)
-                if f.key is not None:  # one record per series and constant
-                    rec = shared.get(f.key)
-                    if rec is None:
-                        shared[f.key] = f.sharp
-                    else:
-                        f.sharp = rec
-                        if rec.log is None and isinstance(x, Log):
-                            rec.log = x
+                if f.key is not None:
+                    f.bind(shared)  # one record per series and constant
             if factors[id(x)].degree != degree:
                 raise ParseError(f"a residue factor of degree {factors[id(x)].degree} "
                                  f"where {degree} is due")

@@ -814,12 +814,13 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
                    for w, b, d in zip(work_lo, band, pos))
 
     scale = window.scale if planned else None
-    weight = ring.one()  # scale^i
+    if scale is not None:  # scale^i, carried flat like the powers of g
+        s_den, s_flat = scale.den, sorted(scale._mono.items())
+        w_den, w = 1, [(ring._bias, 1)]
 
     def scalar_at(i):
         c = coeff_at(i)
-        c = c if isinstance(c, Coef) else ring.from_scalar(c)
-        return c if scale is None or not c else c * weight
+        return c if isinstance(c, Coef) else ring.from_scalar(c)
 
     g_den, g_flat = _flat(g.terms)
     acc_den, acc = 1, {}
@@ -836,20 +837,30 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
             if not p:
                 break
             if scale is not None:
-                weight = weight * scale
+                out = {}
+                mul_into(ring, out, w, s_flat)
+                w_den, w = _carried(ring, {(): out}, w_den * s_den)
+                w = w[()]
         s = scalar_at(i)
         if not s:
             continue
-        # add s * p to acc over the lcm of their denominators; the numerators
-        # of s are scaled to lcm / den, those of p are over den
-        lcm = math.lcm(acc_den, s.den * den)
+        x_den, xs = s.den, sorted(s._mono.items())
+        if scale is not None:
+            out = {}
+            mul_into(ring, out, w, xs)
+            x_den, xs = x_den * w_den, sorted(out.items())
+        # add x * p to acc over the lcm of their denominators, x = s * scale^i;
+        # the numerators of x are scaled to lcm / den, those of p are over den
+        lcm = math.lcm(acc_den, x_den * den)
         if lcm != acc_den:
             f = lcm // acc_den
             for out in acc.values():
                 for k in out:
                     out[k] *= f
             acc_den = lcm
-        xs = _numerators(s, lcm // den)
+        f = lcm // (x_den * den)
+        if f != 1:
+            xs = [(k, v * f) for k, v in xs]
         for l, xp in p.items():
             if exact or (_le_idx(l, hi) and (band is None or _le_idx(band, l))):
                 mul_into(ring, acc.setdefault(l, {}), xp, xs)

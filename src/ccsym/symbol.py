@@ -151,7 +151,9 @@ def cc(entries, want_trace=False):
             continue
         subsets.append(t_set)
     # log(t^-nu f / c) of each slot that is least in some subset; its c^-1 is
-    # computed once, on first read, here or by the expansion
+    # computed once, on first read, by a negative constant-slot exponent or
+    # the expansion.  A sharp slot with a nonzero exponent has a Log: every
+    # other slot is then nonmonomial, so its singleton is a subset
     logs = {k: Log(splits[k][2], splits[k][1]) for k in {min(t_set) for t_set in subsets}}
 
     trace = [] if want_trace else None  # its strings are built only on request

@@ -320,3 +320,25 @@ def test_cc_inverts_a_leading_coefficient_only_where_it_is_read(Qe, monkeypatch)
     assert cc([t, monomial(Qe, 1, (0,), c)]) == c_inv and calls == [c]
     calls.clear()
     assert cc([t, sharp]) == by_parts and calls == [c]
+
+
+def test_an_expanded_slot_shares_its_c_inverse_with_its_constant_exponent(monkeypatch):
+    # cc(t, e/t + 2 + e + e t) over Q[e]/(e^3): slot 2 has the constant
+    # exponent -1 and a live log, expanded from e/t + e t with the weights
+    # (2 + e)^-i; both read the one c^-1
+    ring = ring_new(RingSpec("Q", nil=(("e", 3),)))
+    e, t = ring.gen("e"), t_var(ring, 1, 1)
+    c = ring.from_scalar(2) + e
+    f = from_terms(ring, 1, [((-1,), e), ((0,), c), ((1,), e)])
+    calls = []
+    inverse = type(c).inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(type(c), "inverse", counted)
+    value, trace = cc([t, f], want_trace=True)
+    assert calls == [c]
+    assert str(value) == "1/4*e^2 + -1/4*e^1 + 1/2"
+    assert trace[-1] == "sharp slots [2]: exp(-res) with res = -1/4*e^2"
