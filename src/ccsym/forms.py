@@ -299,17 +299,17 @@ class _Factor:
     """One factor of a residue, described before anything is expanded.
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
-    ``dt_i``) to its certified floor; its first read plans the factor.  The
-    factor's expansion is a log or an inverse of a sharp part, planned off
-    its record ``sharp`` (a :class:`_Sharp`, which :meth:`bind` shares
-    through ``key`` among the factors of a batch that expand the same one):
-    ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
-    (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
-    is windowed (and so cut at its band) or exact.  ``inner`` maps the
-    components holding it to the floor and the top of what multiplies it
-    there; ``need`` gathers the ceiling it must reach and ``band`` the
-    lowest index a read of it reaches.  ``his`` are the ceilings of a
-    windowed input.
+    ``dt_i``) to its certified floor.  The factor's expansion is a log or an
+    inverse of a sharp part, planned by :meth:`bind` (or, outside a batch,
+    by the first read of ``floors``) off its record ``sharp``, a
+    :class:`_Sharp` shared through ``key`` among the factors of a batch
+    that expand the same one: ``parts`` are its ``_generator_parts``,
+    ``low`` the expansion's floor (for a log, the tighter
+    :func:`_log_floor`), and ``windowed`` whether it is windowed (and so cut
+    at its band) or exact.  ``inner`` maps the components holding it to the
+    floor and the top of what multiplies it there; ``need`` gathers the
+    ceiling it must reach and ``band`` the lowest index a read of it
+    reaches.  ``his`` are the ceilings of a windowed input.
     """
 
     def __init__(self, x):
@@ -326,44 +326,39 @@ class _Factor:
             if len(s.terms) > 1:  # S != 1
                 self.c = None if c.is_one() else c
                 self.key = (id(x.f), self.nu, id(self.c))
+            else:
+                self.floors = self._monomial_floors()
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
             self.degree = s.degree
+            self.floors = {}
             for idx, part in s.comps.items():
+                self.floors[idx] = part._floor() or (0,) * s.n
                 if part.hi is not None:
                     self.his[idx] = part.hi
         self.ring, self.n = s.ring, s.n
 
+    def _monomial_floors(self):
+        """The floor ``-e_j`` of each ``nu_j dt_j / t_j`` of a ``Dlog``."""
+        n = len(self.nu)
+        return {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
+
     def bind(self, shared):
-        """Take the record of this factor's series and constant from
-        ``shared`` (keyed by ``key``; the records of a batch), or make it."""
-        x, rec = self.source, shared.get(self.key)
+        """Plan the factor off the record of its series and constant, taken
+        from ``shared`` (keyed by ``key``; the records of a batch) or made."""
+        x, n, rec = self.source, self.n, shared.get(self.key)
         if rec is None:
             rec = shared[self.key] = \
                 _Sharp(x.s, self.c, x) if isinstance(x, Log) else _Sharp(self.g, self.c)
         elif rec.log is None and isinstance(x, Log):
             rec.log = x
-        self.sharp = rec
-
-    @cached_property
-    def floors(self):
-        x, n = self.source, self.n
-        if not isinstance(x, (Log, Dlog)):
-            return {idx: part._floor() or (0,) * n for idx, part in self.form.comps.items()}
-        floors = {}
-        if isinstance(x, Dlog):
-            floors = {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
-        if self.key is None:
-            return floors
-        if self.sharp is None:
-            self.bind({})
-        self.parts = self.sharp.parts
-        self.low = self.parts[2]
+        self.sharp, self.parts, self.low = rec, rec.parts, rec.parts[2]
         if isinstance(x, Log):
             self.windowed = True
-            self.low = _log_floor(self.sharp.h, self.low)
+            self.low = _log_floor(rec.h, self.low)
             self.inner[()] = ((0,) * n,) * 2
-            return {(): self.low}
+            self.floors = {(): self.low}
+            return
         self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
         for j in range(1, n + 1):  # the support of d(S), read off g
             e = _unit_vector(n, j)
@@ -371,10 +366,17 @@ class _Factor:
             if support:
                 coords = list(zip(*support))
                 self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
+        floors = self._monomial_floors()
         for idx, (lo, _) in self.inner.items():
             lo = _add_idx(lo, self.low)
             floors[idx] = _min_idx(floors.get(idx, lo), lo)
-        return floors
+        self.floors = floors
+
+    @cached_property
+    def floors(self):
+        """The floors of an expanding factor that no batch has bound."""
+        self.bind({})
+        return self.floors
 
     @property
     def ceiling(self):

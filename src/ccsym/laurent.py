@@ -815,7 +815,7 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
 
     scale = window.scale if planned else None
     if scale is not None:  # scale^i, carried flat like the powers of g
-        s_den, s_flat = scale.den, sorted(scale._mono.items())
+        sc_den, sc_flat = scale.den, sorted(scale._mono.items())
         w_den, w = 1, [(ring._bias, 1)]
 
     def scalar_at(i):
@@ -838,8 +838,8 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
                 break
             if scale is not None:
                 out = {}
-                mul_into(ring, out, w, s_flat)
-                w_den, w = _carried(ring, {(): out}, w_den * s_den)
+                mul_into(ring, out, w, sc_flat)
+                w_den, w = _carried(ring, {(): out}, w_den * sc_den)
                 w = w[()]
         s = scalar_at(i)
         if not s:
