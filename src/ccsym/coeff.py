@@ -695,20 +695,6 @@ class Coef:
         return all(ring.scalar_is_nilpotent(v) for k, v in self._mono.items()
                    if k >> tshift == tbias)
 
-    def nil_order(self):
-        if not self.is_nilpotent():
-            raise NotInvertibleError(f"{self} is not nilpotent")
-        if self.is_zero():
-            return 1
-        p = self
-        e = 1
-        while p:
-            p = p * self
-            e += 1
-            if e > self.ring.nil_index + 1:
-                raise UnsupportedRingError("nilpotency order exceeds the ring's nil index")
-        return e
-
     def is_invertible(self):
         ring = self.ring
         tshift, tbias = ring._tshift, ring._tbias

@@ -19,7 +19,7 @@ expansion is exact on its band only, so it stays inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
@@ -220,13 +220,7 @@ class Log:
 
     s: LaurentElt
     c: object = 1
-
-    @cached_property
-    def inverse(self):
-        """``c^-1``, computed on first read (``None`` when ``c = 1``): a
-        caller that also needs it reads it here, and the expansion shares it."""
-        c = _constant(self.s.ring, self.c)
-        return None if c is None else c.inverse()
+    sharp: _Sharp = field(default=None, init=False, repr=False)  # set by symbol.cc
 
 
 @dataclass(eq=False)
@@ -234,42 +228,40 @@ class Dlog:
     """The 1-form ``dlog f`` of an invertible series."""
 
     f: LaurentElt
+    sharp: _Sharp = field(default=None, init=False, repr=False)  # set by symbol.cc
 
 
-def _constant(ring, c):
-    """``c`` as a ``Coef``, or ``None`` when it is 1."""
-    c = c if isinstance(c, Coef) else ring.from_scalar(c)
-    return None if c.is_one() else c
+_UNREAD = object()
 
 
 class _Sharp:
     """The sharp part ``S = g / c`` of one series, as the planner expands it,
-    without forming it: ``g`` has constant term ``c`` (``None`` for 1; for a
-    ``Log``, up to a nilpotent), and ``h = g - c`` plans it, with its
-    ``_generator_parts`` in ``parts``.  ``S - 1`` is ``c^-1 h`` term by term,
-    so both have the same support, the same unit and nilpotent terms and the
-    same floor (``laurent._nil_cost``): the parts of ``h`` plan ``S`` exactly.
+    without forming it: ``g`` has constant term ``c`` (for a ``Log``, up to
+    a nilpotent), and ``h = g - c`` plans it, with its ``_generator_parts``
+    in ``parts``.  ``S - 1`` is ``c^-1 h`` term by term, so both have the
+    same support, the same unit and nilpotent terms and the same floor
+    (``laurent._nil_cost``): the parts of ``h`` plan ``S`` exactly.
 
-    One record serves every factor of a batch that expands the same series
-    and constant, such as the ``Log`` and ``Dlog`` of a symbol slot.
-    ``scale`` is read only when an expansion is evaluated, and ``c^-1`` is
-    then taken from a ``Log`` of the record (``log``) when there is one,
-    which the caller may have read already.
+    ``symbol.cc`` makes one record per slot from the split it made, with
+    ``g = t^-nu f``, and points the slot's ``Log`` and ``Dlog`` at it
+    (their ``sharp``); a factor whose ``sharp`` is ``None`` gets its own.
+    ``scale`` is ``c^-1`` (``None`` when ``c = 1``), computed on first read,
+    by a negative constant-slot exponent of ``cc`` or an evaluated expansion.
     """
 
-    def __init__(self, g, c, log=None):
-        self.g, self.c, self.log = g, c, log
-        self.h = g - (one(g.ring, g.n) if c is None else c)
+    def __init__(self, g, c):
+        self.g, self.c = g, c
+        self.h = g - c
         self.parts = _generator_parts(self.h)
+        self._scale = None if c.is_one() else _UNREAD
 
-    @cached_property
+    @property
     def scale(self):
-        """``c^-1`` (``None`` when ``c = 1``), whose powers weight those of
-        ``h`` in each expansion, so that ``h^i`` keeps the small
-        coefficients of ``g``."""
-        if self.c is None:
-            return None
-        return self.c.inverse() if self.log is None else self.log.inverse
+        """``c^-1``, whose powers weight those of ``h`` in each expansion,
+        so that ``h^i`` keeps the small coefficients of ``g``."""
+        if self._scale is _UNREAD:
+            self._scale = self.c.inverse()
+        return self._scale
 
 
 def _max_idx(l, m):
@@ -300,83 +292,67 @@ class _Factor:
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
     ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse of a sharp part, planned by :meth:`bind` (or, outside a batch,
-    by the first read of ``floors``) off its record ``sharp``, a
-    :class:`_Sharp` shared through ``key`` among the factors of a batch
-    that expand the same one: ``parts`` are its ``_generator_parts``,
-    ``low`` the expansion's floor (for a log, the tighter
-    :func:`_log_floor`), and ``windowed`` whether it is windowed (and so cut
-    at its band) or exact.  ``inner`` maps the components holding it to the
-    floor and the top of what multiplies it there; ``need`` gathers the
-    ceiling it must reach and ``band`` the lowest index a read of it
-    reaches.  ``his`` are the ceilings of a windowed input.
+    inverse of a sharp part, planned here off its record ``sharp``, a
+    :class:`_Sharp` that ``symbol.cc`` handed over or that is made here:
+    ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
+    (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
+    is windowed (and so cut at its band) or exact.  ``inner`` maps the
+    components holding it to the floor and the top of what multiplies it
+    there; ``need`` gathers the ceiling it must reach and ``band`` the
+    lowest index a read of it reaches.  ``his`` are the ceilings of a
+    windowed input.
     """
 
     def __init__(self, x):
-        self.source, self.inner, self.his, self.key, self.sharp = x, {}, {}, None, None
+        self.source, self.inner, self.his = x, {}, {}
         self.parts = self.low = self.need = self.band = None
         self.windowed = False
         if isinstance(x, Log):
-            s, self.degree = x.s, 0
-            self.c = _constant(s.ring, x.c)
-            self.key = (id(s), (0,) * s.n, id(self.c))
+            s, self.degree, sharp = x.s, 0, x.sharp
+            if sharp is None:
+                sharp = _Sharp(s, x.c if isinstance(x.c, Coef) else s.ring.from_scalar(x.c))
         elif isinstance(x, Dlog):
-            self.nu, c, s = _unit_split(x.f)  # split once, never divided by c
-            self.degree, self.g = 1, s
-            if len(s.terms) > 1:  # S != 1
-                self.c = None if c.is_one() else c
-                self.key = (id(x.f), self.nu, id(self.c))
+            s, self.degree, sharp = x.f, 1, x.sharp
+            if sharp is not None:
+                self.nu = (0,) * s.n  # cc's record: g = t^-nu f has valuation 0
             else:
-                self.floors = self._monomial_floors()
+                self.nu, c, g = _unit_split(s)  # split once, never divided by c
+                if len(g.terms) > 1:  # S != 1
+                    sharp = _Sharp(g, c)
+            self.floors = self._monomial_floors()
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
-            self.degree = s.degree
+            self.degree, sharp = s.degree, None
             self.floors = {}
             for idx, part in s.comps.items():
                 self.floors[idx] = part._floor() or (0,) * s.n
                 if part.hi is not None:
                     self.his[idx] = part.hi
-        self.ring, self.n = s.ring, s.n
-
-    def _monomial_floors(self):
-        """The floor ``-e_j`` of each ``nu_j dt_j / t_j`` of a ``Dlog``."""
-        n = len(self.nu)
-        return {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
-
-    def bind(self, shared):
-        """Plan the factor off the record of its series and constant, taken
-        from ``shared`` (keyed by ``key``; the records of a batch) or made."""
-        x, n, rec = self.source, self.n, shared.get(self.key)
-        if rec is None:
-            rec = shared[self.key] = \
-                _Sharp(x.s, self.c, x) if isinstance(x, Log) else _Sharp(self.g, self.c)
-        elif rec.log is None and isinstance(x, Log):
-            rec.log = x
-        self.sharp, self.parts, self.low = rec, rec.parts, rec.parts[2]
-        if isinstance(x, Log):
+        self.ring, self.n, self.sharp = s.ring, s.n, sharp
+        if sharp is None:
+            return
+        n, self.parts, self.low = s.n, sharp.parts, sharp.parts[2]
+        if self.degree == 0:
             self.windowed = True
-            self.low = _log_floor(rec.h, self.low)
+            self.low = _log_floor(sharp.h, self.low)
             self.inner[()] = ((0,) * n,) * 2
             self.floors = {(): self.low}
             return
         self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
         for j in range(1, n + 1):  # the support of d(S), read off g
             e = _unit_vector(n, j)
-            support = [_sub_idx(l, e) for l in self.g.terms if l[j - 1]]
+            support = [_sub_idx(l, e) for l in sharp.g.terms if l[j - 1]]
             if support:
                 coords = list(zip(*support))
                 self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
-        floors = self._monomial_floors()
         for idx, (lo, _) in self.inner.items():
             lo = _add_idx(lo, self.low)
-            floors[idx] = _min_idx(floors.get(idx, lo), lo)
-        self.floors = floors
+            self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
 
-    @cached_property
-    def floors(self):
-        """The floors of an expanding factor that no batch has bound."""
-        self.bind({})
-        return self.floors
+    def _monomial_floors(self):
+        """The floor ``-e_j`` of each ``nu_j dt_j / t_j`` of a ``Dlog``."""
+        n = len(self.nu)
+        return {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
 
     @property
     def ceiling(self):
@@ -459,9 +435,11 @@ def certified_residues(terms):
     ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
     Series and forms are taken as given, exact or windowed; each ``Log`` and
     ``Dlog`` is expanded at most once for the whole batch (factors are shared
-    by identity), on the band the target ``(-1, ..., -1)`` reads.  The
-    residue is a signed sum of summands, one per permutation ``p`` of the
-    components: ``sign(p) * [g * w_1[p_1] * ... * w_n[p_n]]`` at the target.
+    by identity), on the band the target ``(-1, ..., -1)`` reads, from its
+    split record (:class:`_Sharp`): the one ``symbol.cc`` handed over, or
+    one made for it.  The residue is a signed sum of summands, one per
+    permutation ``p`` of the components:
+    ``sign(p) * [g * w_1[p_1] * ... * w_n[p_n]]`` at the target.
 
     1. floors: each factor's certified floor, from its generator alone; a
        log has no constant term, so its floor is its generator's where that
@@ -488,16 +466,14 @@ def certified_residues(terms):
     ``StabilityExhaustedError`` before anything is expanded, in a dropped
     summand as in a live one.
     """
-    factors, shared, plans = {}, {}, []
+    factors, plans = {}, []
     for g, slots in terms:
         n = len(slots)
         target = (-1,) * n
         chosen = []
         for x, degree in [(g, 0)] + [(w, 1) for w in slots]:
             if id(x) not in factors:
-                f = factors[id(x)] = _Factor(x)
-                if f.key is not None:
-                    f.bind(shared)  # one record per series and constant
+                factors[id(x)] = _Factor(x)
             if factors[id(x)].degree != degree:
                 raise ParseError(f"a residue factor of degree {factors[id(x)].degree} "
                                  f"where {degree} is due")

@@ -69,10 +69,6 @@ def lex_key(l):
     return tuple(reversed(l))
 
 
-def lex_le(l, m):
-    return lex_key(l) <= lex_key(m)
-
-
 def lex_positive(l):
     return lex_key(l) > (0,) * len(l)
 
@@ -324,9 +320,6 @@ class LaurentElt:
         zero_key = (0,) * self.n
         return all(c.is_nilpotent() for l, c in self.terms.items()
                    if lex_key(l) <= zero_key)
-
-    def is_sharp_mult(self):
-        return (self - one(self.ring, self.n)).is_sharp_add()
 
     # -- comparison / display --------------------------------------------------------
 

@@ -13,10 +13,12 @@ elementary values:
 
 Each slot is split once, to ``nu``, ``c`` and ``g = t^-nu * f``.  The sharp
 factor ``S = g * c^-1`` is never formed: a slot that some exp-res subset
-reads goes to the residues as ``Log(g, c)`` and ``Dlog(g)``, which expand
-from ``g - c`` with the weights ``c^-i``.  ``c^-1`` is computed at most
-once per slot, and only where a negative constant-slot exponent or an
-evaluated expansion reads it.
+reads gets one split record (``forms._Sharp``: ``g``, ``c``, ``h = g - c``
+and the generator parts of ``h``), and goes to the residues as ``Log(g, c)``
+and ``Dlog(g)``, which both point at it, so the planner splits no slot
+again; they expand from ``h`` with the weights ``c^-i``.  ``c^-1`` is
+computed at most once per slot, on its record, and only where a negative
+constant-slot exponent or an evaluated expansion reads it.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
 Khovanskii product form; the additive symbol is the determinant of the
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from .coeff import Coef
 from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
-from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
+from .forms import Dlog, Log, _Sharp, certified_residue, certified_residues, d, dlog_monomial
 from .laurent import LaurentElt, _unit_split, one, require_exact, valuation
 
 
@@ -128,9 +130,10 @@ def cc(entries, want_trace=False):
     Requires rational coefficients whenever a sharp (exp-res) branch
     contributes; purely monomial/constant inputs evaluate over any base.
     No sharp factor ``S = t^-nu f c^-1`` is formed: a slot an exp-res subset
-    reads enters the residues as ``t^-nu f`` and ``c``, and its ``c^-1`` is
-    computed at most once, shared by a negative constant-slot exponent and
-    the slot's ``Log``.
+    reads enters the residues as the split record of ``t^-nu f`` and ``c``,
+    which its ``Log`` and ``Dlog`` point at, and its ``c^-1`` is computed at
+    most once, on the record, shared by a negative constant-slot exponent
+    and the slot's expansions.
     """
     entries = list(entries)
     if not entries:
@@ -150,11 +153,13 @@ def cc(entries, want_trace=False):
         if any(not any(nus[j]) for j in range(n + 1) if j not in t_set):
             continue
         subsets.append(t_set)
-    # log(t^-nu f / c) of each slot that is least in some subset; its c^-1 is
-    # computed once, on first read, by a negative constant-slot exponent or
-    # the expansion.  A sharp slot with a nonzero exponent has a Log: every
-    # other slot is then nonmonomial, so its singleton is a subset
-    logs = {k: Log(splits[k][2], splits[k][1]) for k in {min(t_set) for t_set in subsets}}
+    if subsets and not ring.has_rationals():
+        raise UnsupportedRingError(
+            "exp-res branch needs rational coefficients; over integral bases "
+            "use the universal integral series (ccsym.universal.evaluate_phi)")
+    # the split record of each slot some subset reads; its c^-1 is computed
+    # once, on first read, by a negative constant-slot exponent or an expansion
+    sharps = {j: _Sharp(splits[j][2], splits[j][1]) for j in set().union(*subsets)}
 
     trace = [] if want_trace else None  # its strings are built only on request
     value = ring.one()
@@ -172,18 +177,15 @@ def cc(entries, want_trace=False):
         if dt == 0:
             continue
         exponent = dt if i % 2 == 0 else -dt
-        c_inv = logs[i].inverse if i in logs else c.inverse()
-        value = value * (c ** exponent if exponent > 0 else c_inv ** -exponent)
+        if exponent > 0:
+            value = value * c ** exponent
+        else:
+            value = value * (sharps[i].scale if i in sharps else c.inverse()) ** -exponent
         if trace is not None:
             trace.append(f"constant slot {i + 1}: ({c})^{exponent}")
 
     if subsets:
-        if not ring.has_rationals():
-            raise UnsupportedRingError(
-                "exp-res branch needs rational coefficients; over integral bases "
-                "use the universal integral series (ccsym.universal.evaluate_phi)")
-        dlogs = {j: Dlog(splits[j][2]) for j in set().union(*subsets)}
-        total = _sharp_contribution(ring, n, nus, logs, dlogs, subsets, trace)
+        total = _sharp_contribution(ring, n, nus, sharps, subsets, trace)
         if not total.is_nilpotent():
             raise InternalConsistencyError(
                 f"residue {total} of the sharp branch is not nilpotent")
@@ -192,16 +194,21 @@ def cc(entries, want_trace=False):
     return (value, trace) if want_trace else value
 
 
-def _sharp_contribution(ring, n, nus, logs, dlogs, subsets, trace):
+def _sharp_contribution(ring, n, nus, sharps, subsets, trace):
     """Sum of the signed residues res(log S_k ^ ...), one per subset of sharp slots.
 
-    A subset T with least slot k contributes ``logs[k]``, the log of k's
-    sharp factor, ``dlogs[j]`` for the other slots j in T (``dlog S_j`` is
-    ``dlog(t^-nu f_j)``, the constant dropping out) and the monomial dlog of
-    the slots outside T; all of them go to one certified evaluation.  A
-    ``trace`` list, when given, gets one line per nonzero residue.
+    A subset T with least slot k contributes the log of k's sharp factor,
+    ``dlog S_j`` for the other slots j in T (``dlog(t^-nu f_j)``, the
+    constant dropping out) and the monomial dlog of the slots outside T; all
+    of them go to one certified evaluation, as a ``Log`` and ``Dlog`` of
+    ``t^-nu f`` that point at the slot's record in ``sharps``.  A ``trace``
+    list, when given, gets one line per nonzero residue.
     """
     monomials = [dlog_monomial(ring, n, nu) for nu in nus]
+    logs = {k: Log(sharps[k].g, sharps[k].c) for k in {min(t_set) for t_set in subsets}}
+    dlogs = {j: Dlog(sharp.g) for j, sharp in sharps.items()}
+    for j, x in [*logs.items(), *dlogs.items()]:  # planned from the slot's record
+        x.sharp = sharps[j]
     terms = []
     for t_set in subsets:
         k = min(t_set)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ccsym import laurent
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.errors import ParseError, UnsupportedRingError
+from ccsym.errors import ParseError, StabilityExhaustedError, UnsupportedRingError
 from ccsym.forms import dlog, wedge
 from ccsym.laurent import from_terms, monomial, one, t_var, valuation, zero
 from ccsym.symbol import (
@@ -320,6 +321,53 @@ def test_cc_inverts_a_leading_coefficient_only_where_it_is_read(Qe, monkeypatch)
     assert cc([t, monomial(Qe, 1, (0,), c)]) == c_inv and calls == [c]
     calls.clear()
     assert cc([t, sharp]) == by_parts and calls == [c]
+
+
+def test_cc_inverts_no_leading_coefficient_for_a_positive_exponent(Qe, monkeypatch):
+    # cc(2 + e, t) = (2 + e)^1, and cc(e/t + 2 + e, t) reads c^-1 only
+    # through the expansion of its sharp slot, not for the exponent 1 of c
+    e, t = Qe.gen("e"), t_var(Qe, 1, 1)
+    c = Qe.from_scalar(2) + e
+    sharp = from_terms(Qe, 1, [((-1,), e), ((0,), c)])
+    calls = []
+    inverse = type(c).inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(type(c), "inverse", counted)
+    assert cc([monomial(Qe, 1, (0,), c), t]) == c and calls == []
+    cc([sharp, t])
+    assert calls == [c]
+
+
+def test_cc_splits_each_slot_once(Qe, monkeypatch):
+    # cc(t + t^2, t + e): both slots are sharp with nu = 1, and the planner
+    # expands from the split records cc hands over, so it finds no valuation
+    e = Qe.gen("e")
+    f1 = from_terms(Qe, 1, [((1,), 1), ((2,), 1)])
+    f2 = from_terms(Qe, 1, [((1,), 1), ((0,), e)])
+    calls = []
+    valuation = laurent.valuation
+
+    def counted(f):
+        calls.append(f)
+        return valuation(f)
+
+    monkeypatch.setattr(laurent, "valuation", counted)
+    assert str(cc([f1, f2])) == "1*e^1 + -1"
+    assert calls == [f1, f2]
+
+
+def test_cc_refuses_integral_bases_before_planning_a_slot():
+    # no box window expands the slot 1 + t2/t1, but over Z the exp-res
+    # branch is refused first, for want of rationals
+    for base, kind in (("Z", UnsupportedRingError), ("Q", StabilityExhaustedError)):
+        ring = ring_new(RingSpec(base))
+        f = from_terms(ring, 2, [((0, 0), 1), ((-1, 1), 1)])
+        with pytest.raises(kind):
+            cc([f, t_var(ring, 2, 1), t_var(ring, 2, 2)])
 
 
 def test_an_expanded_slot_shares_its_c_inverse_with_its_constant_exponent(monkeypatch):
