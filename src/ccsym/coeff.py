@@ -867,22 +867,42 @@ def exp_coefficient(i):
 
 
 def _nil_series(w, coef_at):
-    """``sum coef_at(i) * w^i`` for a nilpotent ``w`` and base scalars ``coef_at(i)``.
+    """``sum coef_at(i) * w^i`` for a nilpotent ``w`` over Q and rational
+    ``coef_at(i)``, in one pass over packed numerators.
 
-    Every nilpotent element dies at the power ``nil_index``, so the sum has
-    fewer terms than that; a ``w`` still alive there is an internal fault.
-    Unit coefficients cost no product.
+    The pass carries ``w^i`` flat and sorted over ``w.den^i`` and the sum
+    over one running denominator, and builds one element at the end.  Keys
+    ascend by nil degree, so ``w^i`` meets only the prefix of ``w`` whose
+    degree stays within the ring's maximum beside the lowest degree of
+    ``w^i``; one ``bisect`` finds it.  Every nilpotent element dies at the
+    power ``nil_index``, so the sum has fewer terms than that; a ``w`` still
+    alive there is an internal fault.
     """
     ring = w.ring
-    acc = ring.from_scalar(coef_at(0))
-    p = w
+    tshift, top = ring._tshift, ring._top
+    c = coef_at(0)
+    acc, den = {ring._bias: c.numerator}, c.denominator
+    ws = sorted(w._mono.items())
+    p, pden = ws, w.den
     for i in range(1, ring.nil_index):
         if not p:
-            return acc
+            break
         c = coef_at(i)
-        acc = acc + (p if c == 1 else p * c)
-        p = p * w
+        q = c.denominator * pden
+        lcm = math.lcm(den, q)
+        if lcm != den:
+            f = lcm // den
+            acc = {k: v * f for k, v in acc.items()}
+            den = lcm
+        s = c.numerator * (den // q)
+        get = acc.get
+        for k, v in p:
+            acc[k] = get(k, 0) + v * s
+        out = {}
+        mul_into(ring, out, p, ws[:bisect_left(ws, ((top - (p[0][0] >> tshift)) << tshift,))])
+        p = sorted((k, v) for k, v in out.items() if v)
+        pden *= w.den
     if p:
         raise InternalConsistencyError(
             f"{w} survives the power {ring.nil_index}, the nil index of {ring}")
-    return acc
+    return ring._element(acc, den)

@@ -72,10 +72,7 @@ class UniversalSeries:
         return self.coeffs.get(monomial, Fraction(0))
 
     def sorted_items(self):
-        def order(item):
-            mono, _ = item
-            return (sum(e for _, e in mono), mono)
-        return sorted(self.coeffs.items(), key=order)
+        return _by_degree(self.coeffs.items())
 
     def to_json(self):
         out = []
@@ -85,12 +82,24 @@ class UniversalSeries:
         return out
 
 
+def _by_degree(rows):
+    """``rows`` (each led by a monomial) sorted by total degree, then monomial."""
+    return sorted(rows, key=lambda row: (sum(e for _, e in row[0]), row[0]))
+
+
 def _gen_name(i, l):
     return f"x{i}_" + "_".join(f"m{-v}" if v < 0 else str(v) for v in l)
 
 
 def _phi_series(key: PhiKey, degree, pairs, window):
-    """Instrumented evaluation over the slots in ``pairs`` (slot, exponent)."""
+    """Instrumented evaluation over the slots in ``pairs`` (slot, exponent).
+
+    The instrumentation ring has no free generators and one nil field per
+    pair, in the order of the sorted ``pairs``.  So the value's packed keys
+    decode field by field into monomials that are sorted already, and each
+    coefficient is one ``Fraction`` of a numerator over the value's
+    denominator.  The constant term must be exactly 1.
+    """
     pairs = sorted(pairs)
     ring = ring_new(RingSpec("Q",
                              nil=tuple((_gen_name(i, l), degree + 1) for i, l in pairs),
@@ -104,16 +113,16 @@ def _phi_series(key: PhiKey, degree, pairs, window):
     entries += [t_var(ring, n, j) for j in key.js]
     value = cc(entries)
 
-    by_gen = {idx: (i, l) for idx, (i, l) in enumerate(pairs)}
+    nums, den = value._mono, value.den
+    if nums.get(ring._bias) != den:
+        raise InternalConsistencyError(
+            f"universal series has constant term {value.constant_scalar()}, not 1")
+    fields = tuple(zip(pairs, ring._fields))
     coeffs = {}
-    for exps, scalar in value.terms.items():
-        if not any(exps):
-            if scalar != 1:
-                raise InternalConsistencyError(
-                    f"universal series has constant term {scalar}, not 1")
-            continue
-        mono = tuple(sorted((by_gen[idx], e) for idx, e in enumerate(exps) if e))
-        coeffs[mono] = Fraction(scalar)
+    for k, v in nums.items():
+        if k != ring._bias:
+            coeffs[tuple([(pair, e) for pair, (shift, mask, b) in fields
+                          if (e := ((k >> shift) & mask) - b)])] = Fraction(v, den)
     return UniversalSeries(key, degree, window, coeffs)
 
 
@@ -131,8 +140,8 @@ def phi_coefficients(key: PhiKey, degree: int, window: Window) -> UniversalSerie
 
 
 def check_integrality(series: UniversalSeries):
-    violations = [[mono, str(value)] for mono, value in series.sorted_items()
-                  if value.denominator != 1]
+    violations = _by_degree([mono, str(value)] for mono, value in series.coeffs.items()
+                            if value.denominator != 1)
     return {"integral": not violations, "violations": violations,
             "checked": len(series.coeffs)}
 
@@ -147,8 +156,8 @@ def _weight(mono, n):
 
 def check_weight_zero(series: UniversalSeries):
     n = series.key.n
-    violations = [[mono, list(_weight(mono, n))] for mono, _ in series.sorted_items()
-                  if any(_weight(mono, n))]
+    violations = _by_degree([mono, list(w)] for mono in series.coeffs
+                            if any(w := _weight(mono, n)))
     return {"weight_zero": not violations, "violations": violations,
             "checked": len(series.coeffs)}
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccsym.coeff import RingSpec, ring_new
+from ccsym.coeff import RingSpec, exp_coefficient, log_coefficient, ring_new
 from ccsym.errors import NotInvertibleError, UnsupportedRingError
 from ccsym.laurent import from_terms
 
@@ -301,6 +301,63 @@ def test_packed_inverse_examples():
     z9e = INVERSE_RINGS["Z/9[e^2]"]
     assert z9e.parse_coef("3*e + 2").inverse() == z9e.parse_coef("6*e + 5")
     assert INVERSE_RINGS["Z"].from_scalar(-1).inverse() == -1
+
+
+# -- the packed exp and log against the power sum ---------------------------------------
+
+SERIES_RINGS = {
+    "Q[e^4]": ring_new(RingSpec("Q", nil=(("e", 4),))),
+    "Q[u; e^2, f^2]": ring_new(RingSpec("Q", free=("u",), nil=(("e", 2), ("f", 2)))),
+    "Q[x^4, y^5; deg <= 3]": RINGS["Q[x^4, y^5; deg <= 3]"],
+    "Q[a0..a12, all ^7; deg <= 6]": RINGS["Q[a0..a12, all ^7; deg <= 6]"],
+}
+# the first of each has a denominator above 1; each has a product that
+# reaches the top nil degree the ring keeps
+SERIES_EXAMPLES = {
+    "Q[e^4]": ["1/2*e^1 + 2/3*e^2", "e^1 + e^3"],
+    "Q[u; e^2, f^2]": ["1/2*u^2*e^1 + 3*u^1*f^1 + 1/3*e^1*f^1", "u^3*e^1 + f^1"],
+    "Q[x^4, y^5; deg <= 3]": ["1/2*x^1 + 1/3*y^2 + x^1*y^1", "y^1 + 5/4*x^2"],
+    "Q[a0..a12, all ^7; deg <= 6]": [
+        "a0 + a1 + 1/2*a2^1*a3^1 + a4^5 + 3/5*a0^1*a1^1*a2^1*a3^1*a4^1",
+        "1/6*a0 + a12 + a11^2 + 2*a5^1*a6^1*a7^1 + a1^4 + a2^1*a3^4",
+    ],
+}
+
+
+def series_by_powers(w, coef_at):
+    """``sum coef_at(i) * w^i`` summed with ``Coef`` products and sums, the
+    route ``Coef.exp`` and ``Coef.log`` took before their packed pass."""
+    ring = w.ring
+    acc, p = ring.from_scalar(coef_at(0)), w
+    for i in range(1, ring.nil_index):
+        if not p:
+            break
+        acc = acc + p * coef_at(i)
+        p = p * w
+    assert not p
+    return acc
+
+
+def nilpotents(ring):
+    """Terms of positive nil degree only, so every element is nilpotent."""
+    return raw_elements(ring).map(
+        lambda raw: ring.make({e: s for e, s in raw.items() if sum(e[ring.nfree:])}))
+
+
+@pytest.mark.parametrize("name", SERIES_RINGS)
+def test_packed_exp_and_log_match_the_power_sum(name):
+    ring = SERIES_RINGS[name]
+
+    def body(w):
+        for got, want in ((w.exp(), series_by_powers(w, exp_coefficient)),
+                          ((1 + w).log(), series_by_powers(w, log_coefficient))):
+            assert got == want and str(got) == str(want)
+
+    check = given(nilpotents(ring))(body)
+    assert ring.parse_coef(SERIES_EXAMPLES[name][0]).den > 1
+    for text in SERIES_EXAMPLES[name]:
+        check = hypothesis.example(ring.parse_coef(text))(check)
+    CHECK(check)()
 
 
 # -- the terms view ----------------------------------------------------------------------

@@ -2,12 +2,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.errors import NotSharpError, ParseError
+from ccsym import universal
+from ccsym.errors import InternalConsistencyError, NotSharpError, ParseError
 from ccsym.laurent import Window, from_terms, one, t_var
 from ccsym.symbol import cc
 from ccsym.universal import (
@@ -148,6 +149,69 @@ def test_evaluate_phi_random_dual_path():
                 entries = [one(ring_q, n) + g.map_coefficients(ring_q, embed) for g in gs]
                 entries += [t_var(ring_q, n, j) for j in key.js]
                 assert embed(val) == cc(entries), (n, key.js, [str(g) for g in gs])
+
+
+def _read_out_by_terms(value, pairs):
+    """The read-out ``_phi_series`` made through ``Coef.terms`` before it read
+    packed keys: decode each exponent tuple, sort, build the ``Fraction``."""
+    by_gen = dict(enumerate(sorted(pairs)))
+    coeffs = {}
+    for exps, scalar in value.terms.items():
+        if any(exps):
+            mono = tuple(sorted((by_gen[idx], e) for idx, e in enumerate(exps) if e))
+            coeffs[mono] = Fraction(scalar)
+    return coeffs
+
+
+def _recording_cc(monkeypatch, change=lambda value: value):
+    """Route ``universal.cc`` through ``change`` and record what it returns."""
+    values = []
+
+    def recorded(entries):
+        values.append(change(cc(entries)))
+        return values[-1]
+
+    monkeypatch.setattr(universal, "cc", recorded)
+    return values
+
+
+# n = 1 and 2, p = 1 to 3 slots, degrees 1 to 4, radius 1 to 2; the largest
+# n = 2 boxes only at low degree, where the table stays small
+READ_OUT_CASES = [(n, js, degree, radius)
+                  for n, keys in ((1, [(1,), ()]), (2, [(1, 2), (1,), (2,), ()]))
+                  for js in keys for degree in (1, 2, 3, 4) for radius in (1, 2)
+                  if n == 1 or radius == 1 or degree <= 2]
+
+
+@pytest.mark.parametrize("n, js, degree, radius", READ_OUT_CASES)
+def test_packed_read_out_matches_the_terms_route(monkeypatch, n, js, degree, radius):
+    values = _recording_cc(monkeypatch)
+    key = PhiKey(n, js)
+    s = phi_coefficients(key, degree, Window.cube(n, radius))
+    box = product(range(-radius, radius + 1), repeat=n)
+    pairs = [(i, l) for l in box for i in range(1, key.p + 1)]
+    (value,) = values
+    assert s.coeffs == _read_out_by_terms(value, pairs)
+    for mono in s.coeffs:
+        assert list(mono) == sorted(mono) and all(e > 0 for _, e in mono)
+
+
+def test_packed_read_out_keeps_the_denominator(monkeypatch):
+    # 1 + 4/3 (phi - 1): the constant numerator is the denominator 3
+    key, window = PhiKey(1, (1,)), Window.cube(1, 2)
+    s = phi_coefficients(key, 3, window)
+    values = _recording_cc(monkeypatch, lambda v: 1 + (v - 1) * Fraction(4, 3))
+    scaled = phi_coefficients(key, 3, window)
+    assert values[0].den == 3
+    assert scaled.coeffs == {mono: c * Fraction(4, 3) for mono, c in s.coeffs.items()}
+
+
+@pytest.mark.parametrize("shift", [-1, 1, Fraction(1, 2)])
+def test_phi_series_refuses_a_constant_term_other_than_one(monkeypatch, shift):
+    # shift -1 leaves no constant key at all, which must not read as 1
+    _recording_cc(monkeypatch, lambda v: v + shift)
+    with pytest.raises(InternalConsistencyError):
+        phi_coefficients(PhiKey(1, (1,)), 2, Window.cube(1, 1))
 
 
 def test_phi_window_enlargement_stable():
