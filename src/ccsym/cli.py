@@ -60,7 +60,10 @@ def _cmd_decompose(doc):
 
 def _cmd_tame(doc):
     ring = _ring_from(doc)
-    f, g = _series_list(ring, doc["tuple"])
+    entries = _series_list(ring, doc["tuple"])
+    if len(entries) != 2:
+        raise ParseError(f"tame takes a tuple of two series, got {len(entries)}")
+    f, g = entries
     return {"value": str(tame_symbol(f, g))}
 
 

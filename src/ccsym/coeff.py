@@ -46,6 +46,7 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 _FREE_BITS = 16  # value bits of a free generator's field: exponents below 2**16
 
 
@@ -432,7 +433,12 @@ class Ring:
     # -- parsing ------------------------------------------------------------
 
     def parse_scalar(self, text):
+        """The scalar of ``text``, written as ``str(Coef)`` writes it: an
+        integer or ``a/b``.  Anything else, exponent and decimal notation
+        among it, is refused before any integer is built."""
         text = text.strip()
+        if not _SCALAR_RE.match(text):
+            raise ParseError(f"bad scalar {text!r}: expected an integer or a/b")
         try:
             if self.base == "Q":
                 return Fraction(text)
@@ -586,7 +592,10 @@ class Coef:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.from_scalar(other)
+            try:
+                other = self.ring.from_scalar(other)
+            except (UnsupportedRingError, NotInvertibleError):
+                return False  # a scalar the ring cannot hold equals none of its elements
         if not isinstance(other, Coef):
             return NotImplemented
         return self.ring == other.ring and self.den == other.den and self._mono == other._mono
@@ -664,6 +673,8 @@ class Coef:
         ring = self.ring
         if not s:
             return ring.zero()
+        if s == 1:
+            return self
         if ring.base == "Q":
             num, den = s.numerator, self.den * s.denominator
         else:
@@ -710,46 +721,16 @@ class Coef:
 
     def inverse(self):
         """The inverse of a unit ``(a0 + A) / D``, ``a0`` its constant numerator
-        and ``A`` the nilpotent rest, in one pass over packed numerators.
-
-        The pass carries ``p = (-A)^i`` and ``acc = sum_{j <= i} (-A)^j a0^(i-j)``
-        until ``p`` dies, at the latest at the power ``nil_index``, and returns
-        ``D * acc / a0^(i+1)`` as one element.  Over Z/m it carries
-        ``-A * a0^-1 mod m`` instead and scales by ``a0^-1`` at the end.
-        """
+        and ``A`` the nilpotent rest: ``D / a0`` times the geometric series of
+        ``w = A / a0``, summed by :func:`_nil_series` (``a0^-1`` is the
+        inverse mod m over Z/m)."""
         if not self.is_invertible():
             raise NotInvertibleError(f"{self} is not invertible")
-        ring, bias, m = self.ring, self.ring._bias, self.ring.modulus
+        ring, bias = self.ring, self.ring._bias
         a0 = self._mono[bias]
-        if m is None:  # c^-1 = D * acc / a0^power
-            step, final = a0, self.den
-            w = sorted((k, -v) for k, v in self._mono.items() if k != bias)
-        else:  # c^-1 = acc * a0^-1, acc summing the powers of -A * a0^-1
-            step, final = 1, pow(a0, -1, m)
-            w = sorted((k, -v * final % m) for k, v in self._mono.items() if k != bias)
-        acc, power, p = {bias: 1}, 1, w
-        for _ in range(1, ring.nil_index):
-            if not p:
-                break
-            if step != 1:
-                acc = {k: v * step for k, v in acc.items()}
-            for k, v in p:
-                acc[k] = acc.get(k, 0) + v
-            power += 1
-            out = {}
-            mul_into(ring, out, p, w)
-            if m is None:
-                p = sorted((k, v) for k, v in out.items() if v)
-            else:
-                p = sorted((k, r) for k, v in out.items() if (r := v % m))
-        if p:
-            w = ring.one() - self * ring.scalar_inverse(self.constant_scalar())
-            raise InternalConsistencyError(
-                f"{w} survives the power {ring.nil_index}, the nil index of {ring}")
-        den = step ** power
-        if den < 0:
-            final, den = -final, -den
-        return ring._element({k: v * final for k, v in acc.items()}, den)
+        w = Coef(ring, {k: v for k, v in self._mono.items() if k != bias})
+        w = w._scaled(ring.scalar(Fraction(1, a0)))
+        return _nil_series(w, geometric_coefficient)._scaled(ring.scalar(Fraction(self.den, a0)))
 
     # -- exp / log -----------------------------------------------------------
 
@@ -856,6 +837,11 @@ class _TermItems(ItemsView):
         return self._mapping._pairs()
 
 
+def geometric_coefficient(i):
+    """The coefficient of ``w^i`` in ``(1 + w)^-1``."""
+    return -1 if i % 2 else 1
+
+
 def log_coefficient(i):
     """The coefficient of ``w^i`` in ``log(1 + w)``."""
     return Fraction((-1) ** (i + 1), i) if i else 0
@@ -867,19 +853,19 @@ def exp_coefficient(i):
 
 
 def _nil_series(w, coef_at):
-    """``sum coef_at(i) * w^i`` for a nilpotent ``w`` over Q and rational
-    ``coef_at(i)``, in one pass over packed numerators.
+    """``sum coef_at(i) * w^i`` for a nilpotent ``w`` and rational (over Z/m:
+    integer) ``coef_at(i)``, in one pass over packed numerators.
 
-    The pass carries ``w^i`` flat and sorted over ``w.den^i`` and the sum
-    over one running denominator, and builds one element at the end.  Keys
-    ascend by nil degree, so ``w^i`` meets only the prefix of ``w`` whose
-    degree stays within the ring's maximum beside the lowest degree of
-    ``w^i``; one ``bisect`` finds it.  Every nilpotent element dies at the
-    power ``nil_index``, so the sum has fewer terms than that; a ``w`` still
-    alive there is an internal fault.
+    The pass carries ``w^i`` flat and sorted over ``w.den^i`` (reduced mod m
+    over Z/m) and the sum over one running denominator, and builds one
+    element at the end.  Keys ascend by nil degree, so ``w^i`` meets only the
+    prefix of ``w`` whose degree stays within the ring's maximum beside the
+    lowest degree of ``w^i``; one ``bisect`` finds it.  Every nilpotent
+    element dies at the power ``nil_index``, so the sum has fewer terms than
+    that; a ``w`` still alive there is an internal fault.
     """
     ring = w.ring
-    tshift, top = ring._tshift, ring._top
+    tshift, top, m = ring._tshift, ring._top, ring.modulus
     c = coef_at(0)
     acc, den = {ring._bias: c.numerator}, c.denominator
     ws = sorted(w._mono.items())
@@ -900,7 +886,10 @@ def _nil_series(w, coef_at):
             acc[k] = get(k, 0) + v * s
         out = {}
         mul_into(ring, out, p, ws[:bisect_left(ws, ((top - (p[0][0] >> tshift)) << tshift,))])
-        p = sorted((k, v) for k, v in out.items() if v)
+        if m is None:
+            p = sorted((k, v) for k, v in out.items() if v)
+        else:
+            p = sorted((k, r) for k, v in out.items() if (r := v % m))
         pden *= w.den
     if p:
         raise InternalConsistencyError(

@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import Coef, Ring, json_int, json_list, json_object
+from .coeff import (
+    Coef,
+    Ring,
+    geometric_coefficient,
+    json_int,
+    json_list,
+    json_object,
+    log_coefficient,
+)
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -33,19 +41,15 @@ from .errors import (
 from .laurent import (
     LaurentElt,
     Window,
-    _Planned,
+    _Sharp,
     _add_idx,
-    _generator_parts,
     _le_idx,
     _min_idx,
-    _sharp_inverse,
     _sub_idx,
     _unit_split,
     _unit_vector,
     coarse_split,
-    log_sharp,
     monomial,
-    one,
     product_coefficient,
     series_from_json,
     zero,
@@ -187,11 +191,19 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     The monomial factor contributes the exact ``nu_j dt_j / t_j``; the
     constant drops out; the sharp factor contributes ``d(S) * S^{-1}`` under
     the window protocol (exact when the inverse terminates by nilpotency).
+    ``S`` is formed here, so its record has ``c = 1``: no weights.
     """
     nu, _, s = coarse_split(f)
-    out = dlog_monomial(f.ring, f.n, nu)
-    if s != 1:  # S is split already: its inverse is the geometric series in S - 1
-        out = out + d(s).scale(_sharp_inverse(s - one(f.ring, f.n), window))
+    return _dlog_form(f.ring, f.n, nu, _Sharp(s, f.ring.one()) if s != 1 else None, window)
+
+
+def _dlog_form(ring, n, nu, sharp, window, band=None):
+    """``dlog(t^nu c S) = dlog t^nu + c^-1 d(h) * S^-1`` for the split record
+    ``sharp`` of ``S`` (``None``: ``S = 1``), ``S^-1`` expanded from it."""
+    out = dlog_monomial(ring, n, nu)
+    if sharp is not None:
+        ds = d(sharp.h) if sharp.c.is_one() else d(sharp.h).scale(sharp.scale)
+        out = out + ds.scale(sharp.expand(geometric_coefficient, window, band, keep_exact=True))
     return out
 
 
@@ -231,39 +243,6 @@ class Dlog:
     sharp: _Sharp = field(default=None, init=False, repr=False)  # set by symbol.cc
 
 
-_UNREAD = object()
-
-
-class _Sharp:
-    """The sharp part ``S = g / c`` of one series, as the planner expands it,
-    without forming it: ``g`` has constant term ``c`` (for a ``Log``, up to
-    a nilpotent), and ``h = g - c`` plans it, with its ``_generator_parts``
-    in ``parts``.  ``S - 1`` is ``c^-1 h`` term by term, so both have the
-    same support, the same unit and nilpotent terms and the same floor
-    (``laurent._nil_cost``): the parts of ``h`` plan ``S`` exactly.
-
-    ``symbol.cc`` makes one record per slot from the split it made, with
-    ``g = t^-nu f``, and points the slot's ``Log`` and ``Dlog`` at it
-    (their ``sharp``); a factor whose ``sharp`` is ``None`` gets its own.
-    ``scale`` is ``c^-1`` (``None`` when ``c = 1``), computed on first read,
-    by a negative constant-slot exponent of ``cc`` or an evaluated expansion.
-    """
-
-    def __init__(self, g, c):
-        self.g, self.c = g, c
-        self.h = g - c
-        self.parts = _generator_parts(self.h)
-        self._scale = None if c.is_one() else _UNREAD
-
-    @property
-    def scale(self):
-        """``c^-1``, whose powers weight those of ``h`` in each expansion,
-        so that ``h^i`` keeps the small coefficients of ``g``."""
-        if self._scale is _UNREAD:
-            self._scale = self.c.inverse()
-        return self._scale
-
-
 def _max_idx(l, m):
     return m if l is None else tuple(map(max, l, m))
 
@@ -292,8 +271,9 @@ class _Factor:
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
     ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse of a sharp part, planned here off its record ``sharp``, a
-    :class:`_Sharp` that ``symbol.cc`` handed over or that is made here:
+    inverse of a sharp part, planned here off its split record ``sharp``
+    (``laurent._Sharp``), which ``symbol.cc`` handed over or which is made
+    here, and which expands it in :attr:`form`:
     ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
     (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
     is windowed (and so cut at its band) or exact.  ``inner`` maps the
@@ -391,22 +371,17 @@ class _Factor:
         """The factor as a form, its expansion certified up to its ceiling
         and banded: exact from ``band`` up only, so it never leaves here.
         A log carries the floor the planner read, :func:`_log_floor`.  The
-        expansion runs over ``h`` with the weights ``c^-i``, and a ``Dlog``
-        is ``dlog t^nu + c^-1 d(h) * S^-1``."""
+        record expands ``log S`` and ``S^-1`` from ``h`` with the weights
+        ``c^-i``, and a ``Dlog`` is ``dlog t^nu + c^-1 d(h) * S^-1``."""
         hi, band = self.ceiling, self.band
         if band is not None and _le_idx(band, self.low):
             band = None  # the expansion holds nothing below its floor: no cut
         sharp = self.sharp
-        window = None if sharp is None else \
-            _Planned(_min_idx(self.low, hi), hi, band, self.parts, sharp.h, sharp.scale)
+        window = None if sharp is None else Window(_min_idx(self.low, hi), hi)
         if isinstance(self.source, Log):
-            log = log_sharp(self.source.s, window)
+            log = sharp.expand(log_coefficient, window, band)
             return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
-        out = dlog_monomial(self.ring, self.n, self.nu)
-        if sharp is not None:  # d(S) = c^-1 d(h)
-            ds = d(sharp.h) if sharp.scale is None else d(sharp.h).scale(sharp.scale)
-            out = out + ds.scale(_sharp_inverse(sharp.h, window))
-        return out
+        return _dlog_form(self.ring, self.n, self.nu, sharp, window, band)
 
 
 def _partial(chain, products):
@@ -435,10 +410,11 @@ def certified_residues(terms):
     ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
     Series and forms are taken as given, exact or windowed; each ``Log`` and
     ``Dlog`` is expanded at most once for the whole batch (factors are shared
-    by identity), on the band the target ``(-1, ..., -1)`` reads, from its
-    split record (:class:`_Sharp`): the one ``symbol.cc`` handed over, or
-    one made for it.  The residue is a signed sum of summands, one per
-    permutation ``p`` of the components:
+    by identity), on the band the target ``(-1, ..., -1)`` reads, by its
+    split record (``laurent._Sharp``): the one ``symbol.cc`` handed over, or
+    one made for it, which plans the factor and expands it from ``h = g - c``
+    with the weights ``c^-i``.  The residue is a signed sum of summands, one
+    per permutation ``p`` of the components:
     ``sign(p) * [g * w_1[p_1] * ... * w_n[p_n]]`` at the target.
 
     1. floors: each factor's certified floor, from its generator alone; a

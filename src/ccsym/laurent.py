@@ -19,9 +19,11 @@ capture and are rejected with a stability error.  Under a ceiling, each
 power of the generator keeps only the indices from which the factors still
 to come can return below it, so ``log``, ``exp`` and composition are
 windowed there even when the series terminates by nilpotency; an inverse
-that terminates so stays exact.  A window that ``forms.certified_residues``
-plans for one of its expansions may also carry a band floor; a windowed sum
-is then cut from below as well, and is exact on the band alone.
+that terminates so stays exact.  An expansion that ``forms.certified_residues``
+plans may also have a band floor; a windowed sum is then cut from below as
+well, and is exact on the band alone.  The sharp part ``S = g / c`` of a
+series is expanded from its split record, :class:`_Sharp`, without forming
+``S``.
 
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
@@ -37,11 +39,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .coeff import (
     Coef,
     Ring,
     exp_coefficient,
+    geometric_coefficient,
     json_int,
     json_list,
     json_object,
@@ -116,32 +120,6 @@ class Window:
     @staticmethod
     def cube(n, radius):
         return Window((-radius,) * n, (radius,) * n)
-
-
-class _Planned(Window):
-    """The window ``forms.certified_residues`` plans for one ``log`` or
-    inverse expansion: besides the ceiling ``hi``, the lowest index ``band``
-    (``None``: no band) any read of the residue can reach, the
-    ``_generator_parts`` of the expansion's generator, computed once by the
-    planner, and the generator itself with a scale.
-
-    The sharp part ``S = g / c`` of a series (``g = t^-nu f``, ``c`` its
-    constant term) is never formed: the generator ``gen`` is ``h = g - c``,
-    and ``scale`` is ``c^-1`` (``None`` when ``c = 1``), so that
-    ``S - 1 = scale * h`` and the expansion weights ``h^i`` by ``scale^i``.
-    ``h`` and ``S - 1`` have the same support, partition and floor (see
-    ``_nil_cost``), so the parts of either plan both.  ``gen`` may be
-    ``None``: the caller's series then gives the generator.
-
-    A series expanded under a band holds its coefficients on ``[band, hi]``
-    only and reads zero below, so it is no certified value: only
-    ``forms._Factor`` builds this window, and the series never leaves it.
-    A plain subclass: a dataclass would cost a millisecond at every import.
-    """
-
-    def __init__(self, lo, hi, band, parts, gen=None, scale=None):
-        super().__init__(lo, hi)
-        self.band, self.parts, self.gen, self.scale = band, parts, gen, scale
 
 
 class LaurentElt:
@@ -325,15 +303,13 @@ class LaurentElt:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Coef)):
-            # a constant: compare the terms, without building a series
+            # a constant: compare the constant term, without building a series
             if isinstance(other, Coef):
                 self.ring.compatible(other.ring)
-            elif not isinstance(other, int) or (self.hi is None and len(self.terms) < 2):
-                other = self.ring.from_scalar(other)  # an int always coerces; a Fraction may not
-            else:
+            c = self.terms.get((0,) * self.n)
+            if self.hi is not None or self.floor is not None or len(self.terms) > (c is not None):
                 return False
-            return (self.hi is None and self.floor is None
-                    and self.terms == ({(0,) * self.n: other} if other else {}))
+            return (self.ring.zero() if c is None else c) == other  # Coef.__eq__ coerces
         if not isinstance(other, LaurentElt):
             return NotImplemented
         return (self.ring == other.ring and self.n == other.n and self.terms == other.terms
@@ -736,7 +712,8 @@ def _nil_depth(ring, items):
     return best
 
 
-def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=False):
+def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=False,
+                   band=None, parts=None):
     """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= window.hi}``.
 
     Non-nilpotent monomials of ``g`` must be lex-positive and componentwise
@@ -745,7 +722,9 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
     evaluated on a padded work box that provably loses nothing below the
     ceiling.  A generator with no unit coefficient terminates by nilpotency
     alone: without a window (or with ``keep_exact``) its sum is exact, under
-    one it is windowed with ``hi`` and the expansion floor.
+    one it is windowed with ``hi`` and the expansion floor.  ``coeff_at(i)``
+    is a scalar or a ``Coef``; ``parts``, when given, are
+    ``_generator_parts(g)``, computed once by the caller.
 
     Under a ceiling, ``g^i`` is cut at the highest index from which the
     ``budget - i`` factors still to come can bring a term back to ``hi``:
@@ -758,21 +737,18 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
     nonnegative (no unknown term can then re-enter the certified box); the
     result's ceiling shrinks to the generator's.
 
-    Under a :class:`_Planned` window with a scale ``w``, the sum is of
-    ``coeff_at(i) * w^i * g^i``: the powers of ``g`` keep their small
-    coefficients, and ``w^i`` enters once per power, in the accumulation.
-    Under one with a band, a windowed sum is also cut
-    from below: ``g^i`` at the lowest index from which the factors still to
-    come can bring a term back up to ``band`` (each raises ``t_j`` by at most
-    the largest positive ``t_j`` exponent of a term of ``g``), and
-    ``c_i * g^i`` enters the sum only on ``[band, hi]``.  Exact and clipped
-    sums stay unbanded: their termination test reads whole powers.
+    With a ``band`` (only ``forms.certified_residues`` plans one), a windowed
+    sum is also cut from below: ``g^i`` at the lowest index from which the
+    factors still to come can bring a term back up to ``band`` (each raises
+    ``t_j`` by at most the largest positive ``t_j`` exponent of a term of
+    ``g``), and ``c_i * g^i`` enters the sum only on ``[band, hi]``.  Such a
+    sum reads zero below the band, so it is no certified value outside its
+    caller.  Exact and clipped sums stay unbanded: their termination test
+    reads whole powers.
     """
     ring = g.ring
     n = g.n
-    planned = isinstance(window, _Planned)
-    unit_idx, nil_idx, work_lo = window.parts if planned else _generator_parts(g)
-    band = window.band if planned else None
+    unit_idx, nil_idx, work_lo = parts if parts is not None else _generator_parts(g)
     hi = None if window is None else tuple(window.hi)
     if g.hi is not None:
         hi = g.hi if hi is None else _min_idx(hi, g.hi)
@@ -806,11 +782,6 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
         near = max((b - w - 1) // d if d else (budget if b > w else -1)
                    for w, b, d in zip(work_lo, band, pos))
 
-    scale = window.scale if planned else None
-    if scale is not None:  # scale^i, carried flat like the powers of g
-        sc_den, sc_flat = scale.den, sorted(scale._mono.items())
-        w_den, w = 1, [(ring._bias, 1)]
-
     def scalar_at(i):
         c = coeff_at(i)
         return c if isinstance(c, Coef) else ring.from_scalar(c)
@@ -829,31 +800,20 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
             den, p = _carried(ring, _flat_product(ring, p, g_flat, top, bottom), den * g_den)
             if not p:
                 break
-            if scale is not None:
-                out = {}
-                mul_into(ring, out, w, sc_flat)
-                w_den, w = _carried(ring, {(): out}, w_den * sc_den)
-                w = w[()]
         s = scalar_at(i)
         if not s:
             continue
-        x_den, xs = s.den, sorted(s._mono.items())
-        if scale is not None:
-            out = {}
-            mul_into(ring, out, w, xs)
-            x_den, xs = x_den * w_den, sorted(out.items())
-        # add x * p to acc over the lcm of their denominators, x = s * scale^i;
-        # the numerators of x are scaled to lcm / den, those of p are over den
-        lcm = math.lcm(acc_den, x_den * den)
+        # add s * p to acc over the lcm of their denominators; the numerators
+        # of s are scaled to lcm / den, those of p are over den
+        lcm = math.lcm(acc_den, s.den * den)
         if lcm != acc_den:
             f = lcm // acc_den
             for out in acc.values():
                 for k in out:
                     out[k] *= f
             acc_den = lcm
-        f = lcm // (x_den * den)
-        if f != 1:
-            xs = [(k, v * f) for k, v in xs]
+        f = lcm // (s.den * den)
+        xs = sorted((k, v * f) for k, v in s._mono.items())
         for l, xp in p.items():
             if exact or (_le_idx(l, hi) and (band is None or _le_idx(band, l))):
                 mul_into(ring, acc.setdefault(l, {}), xp, xs)
@@ -866,14 +826,45 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
                             work_lo)
 
 
-def _geom(i):
-    return 1 if i % 2 == 0 else -1
+class _Sharp:
+    """The sharp part ``S = g / c`` of a series, expanded without forming it.
 
+    ``g`` has constant term ``c``, a unit (for a log, up to a nilpotent), and
+    ``h = g - c``.  ``S - 1`` is ``c^-1 h`` term by term, so both have the
+    same support, the same unit and nilpotent terms and the same floor
+    (``_nil_cost``): ``parts``, the ``_generator_parts`` of ``h``, plan ``S``
+    exactly.  ``scale`` is ``c^-1``, computed on first read.  ``symbol.cc``
+    makes one record per slot, from ``g = t^-nu f``, for the slot's ``Log``
+    and ``Dlog``; ``invert``, ``forms.dlog`` and the residue planner make
+    their own.
+    """
 
-def _sharp_inverse(g: LaurentElt, window: Window = None) -> LaurentElt:
-    """``(1 + g)^-1`` for the generator ``g = S - 1`` of a sharp factor: exact
-    when it terminates by nilpotency, window or not, else certified under it."""
-    return _expand_series(g, _geom, window, keep_exact=True)
+    def __init__(self, g, c):
+        self.g, self.c = g, c
+        self.h = g - c
+        self.parts = _generator_parts(self.h)
+
+    @cached_property
+    def scale(self):
+        """``c^-1``, whose powers weight those of ``h``."""
+        return self.c.inverse()
+
+    def expand(self, coeff_at, window, band=None, keep_exact=False):
+        """``sum coeff_at(i) * (S - 1)^i`` as ``sum coeff_at(i) * c^-i * h^i``
+        (see :func:`_expand_series`): the powers of ``h`` keep the small
+        coefficients of ``g``, and each weight ``c^-i`` enters once, in the
+        coefficient of its power."""
+        weighted = coeff_at
+        if not self.c.is_one():
+            weights = [self.c.ring.one()]
+
+            def weighted(i):
+                while len(weights) <= i:
+                    weights.append(weights[-1] * self.scale)
+                return weights[i] * coeff_at(i)
+
+        return _expand_series(self.h, weighted, window, keep_exact=keep_exact,
+                              band=band, parts=self.parts)
 
 
 def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -882,24 +873,18 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     The monomial and constant factors invert exactly; the sharp factor
     contributes a geometric series, which is itself exact whenever its
     generator is elementwise nilpotent, window or not, and otherwise runs
-    under the certified window protocol.
+    under the certified window protocol.  One ``c^-1`` weights the series
+    and scales its sum.
     """
-    nu, c, s = _unit_split(f)
-    ring, n = f.ring, f.n
-    c_inv = None if c.is_one() else c.inverse()  # scales S and the inverse alike
-    if c_inv is not None:
-        s = s * c_inv
-    g = s - one(ring, n)
-    if not g.terms:
-        inv_s = one(ring, n)
-    else:
-        if window is not None and any(nu):
-            # a plan concerns a sharp part, whose monomial factor is 1
-            window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
-        inv_s = _sharp_inverse(g, window)
-    if c_inv is not None:
-        inv_s = inv_s * c_inv
-    return inv_s.shift(tuple(-x for x in nu))
+    nu, c, g = _unit_split(f)
+    if window is not None and any(nu):
+        # a plan concerns a sharp part, whose monomial factor is 1
+        window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
+    sharp = _Sharp(g, c)
+    inv = sharp.expand(geometric_coefficient, window, keep_exact=True)
+    if not c.is_one():
+        inv = inv * sharp.scale
+    return inv.shift(tuple(-x for x in nu))
 
 
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -907,15 +892,11 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
 
     Without a window the sum must terminate by nilpotency and is exact; with
     one it is certified up to ``window.hi``, above the expansion floor of
-    ``f - 1``, also when it terminates.  A :class:`_Planned` window that
-    carries a generator gives it instead of ``f - 1``, with its scale.
+    ``f - 1``, also when it terminates.
     """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    g = window.gen if isinstance(window, _Planned) else None
-    if g is None:
-        g = f - one(f.ring, f.n)
-    return _expand_series(g, log_coefficient, window)
+    return _expand_series(f - one(f.ring, f.n), log_coefficient, window)
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:

@@ -13,12 +13,12 @@ elementary values:
 
 Each slot is split once, to ``nu``, ``c`` and ``g = t^-nu * f``.  The sharp
 factor ``S = g * c^-1`` is never formed: a slot that some exp-res subset
-reads gets one split record (``forms._Sharp``: ``g``, ``c``, ``h = g - c``
+reads gets one split record (``laurent._Sharp``: ``g``, ``c``, ``h = g - c``
 and the generator parts of ``h``), and goes to the residues as ``Log(g, c)``
 and ``Dlog(g)``, which both point at it, so the planner splits no slot
-again; they expand from ``h`` with the weights ``c^-i``.  ``c^-1`` is
-computed at most once per slot, on its record, and only where a negative
-constant-slot exponent or an evaluated expansion reads it.
+again; the record expands both from ``h`` with the weights ``c^-i``.
+``c^-1`` is computed at most once per slot, on its record, and only where a
+negative constant-slot exponent or an expansion's weight reads it.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
 Khovanskii product form; the additive symbol is the determinant of the
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from .coeff import Coef
 from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
-from .forms import Dlog, Log, _Sharp, certified_residue, certified_residues, d, dlog_monomial
-from .laurent import LaurentElt, _unit_split, one, require_exact, valuation
+from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
+from .laurent import LaurentElt, _Sharp, _unit_split, one, require_exact, valuation
 
 
 # -- integer linear algebra ----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from ccsym import forms, laurent
 from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
-from ccsym.coeff import RingSpec, ring_new
+from ccsym.coeff import RingSpec, log_coefficient, ring_new
 from ccsym.errors import ParseError, StabilityExhaustedError, UnsupportedRingError
 from ccsym.forms import DiffForm, Dlog, Log, certified_residue, certified_residues, dlog, wedge
 from ccsym.laurent import Window, from_terms, log_sharp, one, stable_coefficient, t_var, zero
@@ -82,12 +82,15 @@ def test_trial_46_keeps_value_and_trace():
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Every call of laurent._expand_series, as (generator, first coefficients)."""
+    """Every call of laurent._expand_series, as (generator, first coefficients).
+
+    The coefficient of ``g^0`` tells a log (0) from an inverse (1): a split
+    record weights ``g^i`` by ``c^-i``, which leaves it as it is."""
     calls = []
     real = laurent._expand_series
 
     def counted(g, coeff_at, *args, **kw):
-        calls.append((str(g), tuple(coeff_at(i) for i in range(1, 3))))
+        calls.append((str(g), tuple(coeff_at(i) for i in range(3))))
         return real(g, coeff_at, *args, **kw)
 
     monkeypatch.setattr(laurent, "_expand_series", counted)
@@ -118,8 +121,8 @@ def test_trial_46_expands_only_what_a_live_summand_reaches(expansions):
     for entries in _trial_46():
         expansions.clear()
         cc(entries)
-        counts.append([coefs[0] for _, coefs in expansions])
-    assert counts == [[1], [1], [1]]
+        counts.append(["log" if coefs[0] == 0 else "inverse" for _, coefs in expansions])
+    assert counts == [["log"], ["log"], ["log"]]
 
 
 def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
@@ -135,14 +138,17 @@ def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
             super().__init__(x)
             made.append(self)
 
-    def recorded(s, window=None):
-        windows[id(s)] = window.hi
-        return log_sharp(s, window)
+    expand = laurent._Sharp.expand
+
+    def recorded(sharp, coeff_at, window, *args, **kw):
+        if coeff_at is log_coefficient:
+            windows[id(sharp)] = window.hi
+        return expand(sharp, coeff_at, window, *args, **kw)
 
     monkeypatch.setattr(forms, "_Factor", Recorded)
-    monkeypatch.setattr(forms, "log_sharp", recorded)
+    monkeypatch.setattr(laurent._Sharp, "expand", recorded)
     value, trace = cc([f1, f2], want_trace=True)
-    needs = {id(f.source.s): f.need for f in made if isinstance(f.source, Log)}
+    needs = {id(f.sharp): f.need for f in made if isinstance(f.source, Log)}
     assert windows == needs and sorted(needs.values()) == [(0,), (2,)]
     assert str(value) == "1*e^1 + -1"
     assert trace == ["monomial: (-1)^1", "sharp slots [1, 2]: exp(res) with res = -1*e^1"]

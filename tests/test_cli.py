@@ -74,6 +74,24 @@ def test_tame_command():
     assert code == 0 and out["value"] == "-1"
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_tame_refuses_a_tuple_of_other_than_two_series(count):
+    t = series(1, [((1,), "1")])
+    code, out = run_cli({"command": "tame", "ring": {"base": "Q"}, "tuple": [t] * count})
+    assert code == 1 and out["error"] == {
+        "kind": "ParseError", "detail": f"tame takes a tuple of two series, got {count}"}
+
+
+def test_a_scalar_in_exponent_notation_is_refused_before_it_is_built():
+    # "1e10000000" as a Fraction is a 10-million-digit integer: seconds of work
+    for text in ("1e10000000", "1.5", "2E3"):
+        doc = {"command": "cc", "ring": {"base": "Q"}, "n": 1,
+               "tuple": [series(1, [((1,), text)]), series(1, [((1,), "1")])]}
+        code, out = run_cli(doc)
+        assert code == 1 and out["error"]["kind"] == "ParseError"
+        assert repr(text) in out["error"]["detail"]
+
+
 def test_witt_pair_command():
     doc = {"command": "witt-pair", "ring": {"base": "Q", "nil": [["e", 2]]}, "n": 1,
            "S": [1, 2],

@@ -270,6 +270,30 @@ def test_parse_rejects_negative_exponent():
     assert ring.parse_coef("u^0") == ring.one()
 
 
+def test_parse_refuses_scalars_str_does_not_write():
+    # Fraction would read "1e10000000" as a 10-million-digit integer and
+    # spend seconds building it; only [+-]digits(/digits) is a scalar
+    q, z9 = ring_new(RingSpec("Q", nil=(("e", 2),))), ring_new(RingSpec(9))
+    for ring in (q, z9):
+        for text in ("1e10000000", "1.5", "2E3", "1_000", "0x10", "1/2/3", "- 1", "\u0661"):
+            with pytest.raises(ParseError, match="bad scalar"):
+                ring.parse_coef(text)
+            with pytest.raises(ParseError, match="bad scalar"):
+                ring.parse_coef(f"{text}*e^1" if ring is q else text)
+    assert q.parse_coef("-3/2*e^1 + +2") == q.make({(1,): Fraction(-3, 2), (0,): 2})
+    assert z9.parse_coef("-1") == z9.from_scalar(8)
+
+
+def test_equality_with_a_scalar_the_ring_cannot_hold_is_false():
+    from ccsym.laurent import one
+
+    z, z9 = ring_new(RingSpec("Z", nil=(("e", 2),))), ring_new(RingSpec(9))
+    for ring, scalar in ((z, Fraction(1, 2)), (z9, Fraction(1, 3)), (z9, Fraction(2, 3))):
+        for x in (ring.one(), ring.zero(), one(ring, 1), one(ring, 2)):
+            assert not x == scalar and x != scalar
+    assert z9.one() * 2 == Fraction(2, 1) and z9.from_scalar(5) == Fraction(1, 2)
+
+
 def test_inverse_over_composite_modulus():
     # 6 is nilpotent mod 48 only at the fourth power: the nil index must see that
     for m in (12, 48):

@@ -15,7 +15,13 @@ from fractions import Fraction
 import pytest
 
 from ccsym import laurent
-from ccsym.coeff import RingSpec, exp_coefficient, log_coefficient, ring_new
+from ccsym.coeff import (
+    RingSpec,
+    exp_coefficient,
+    geometric_coefficient,
+    log_coefficient,
+    ring_new,
+)
 from ccsym.errors import UnsupportedRingError, WindowExceededError
 from ccsym.laurent import (
     LaurentElt,
@@ -360,19 +366,21 @@ def test_a_term_above_the_ceiling_comes_back_to_it():
 @example(data=BAND)
 @given(data=st.data())
 def test_a_banded_expansion_holds_the_series_on_its_band(data):
-    """Under a planned window with a band, windowed ``log``, ``exp`` and
-    inverse hold the terms of the unbanded expansion on ``[band, hi]`` and no
-    others, under the same ceiling and floor; an inverse that terminates
-    stays exact and unbanded."""
+    """Under a band, windowed ``log``, ``exp`` and inverse hold the terms of
+    the unbanded expansion on ``[band, hi]`` and no others, under the same
+    ceiling and floor; an inverse that terminates stays exact and unbanded."""
     ring, n = data.draw(ring_and_n(RATIONAL))
     g = data.draw(sharp_generators(ring, n, constant=False))
     hi = data.draw(_indices(n, -1, 3))
     band = data.draw(_indices(n, -4, 3))
     plain = Window(tuple(min(h, -1) for h in hi), hi)
-    planned = laurent._Planned(plain.lo, plain.hi, band, laurent._generator_parts(g))
-    for expand in (lambda w: log_sharp(g + 1, w), lambda w: exp_sharp(g, w),
-                   lambda w: invert(g + 1, w)):
-        got, want = expand(planned), expand(plain)
+    parts = laurent._generator_parts(g)
+    for coeff_at, public in ((log_coefficient, lambda w: log_sharp(g + 1, w)),
+                             (exp_coefficient, lambda w: exp_sharp(g, w)),
+                             (geometric_coefficient, lambda w: invert(g + 1, w))):
+        got = laurent._expand_series(g, coeff_at, plain, band=band, parts=parts,
+                                     keep_exact=coeff_at is geometric_coefficient)
+        want = public(plain)
         if want.is_exact():
             assert got == want
         else:
@@ -472,7 +480,7 @@ WEIGHTED = {
 _QE3 = WEIGHTED["Q[e^3]"]
 _E3, _C = _QE3.gen("e"), _QE3.from_scalar(2) + _QE3.gen("e")
 # the weight of h^i taken as c^-(i+1) scales log(1 + e t / (2 + e)) at t^1
-SCALE_POWER = Replay(1, from_terms(_QE3, 1, [((1,), _E3)]), _C, (1,), (0,))
+SCALE_POWER = Replay(1, from_terms(_QE3, 1, [((1,), _E3)]), _C, (1,), (0,), (1,))
 # a Dlog that drops its c^-1 reads res(log(1 + e/(2 + e) t^-1) dlog(1 + t/(2 + e)))
 # without the 1 / (2 + e) of d(S)
 DLOG_SCALE = Replay(from_terms(_QE3, 1, [((-1,), _E3)]), from_terms(_QE3, 1, [((1,), 1)]),
@@ -492,28 +500,51 @@ def weighted_constants(draw, ring):
 @example(data=SCALE_POWER)
 @given(data=st.data())
 def test_weighted_expansions_match_the_normalized_ones(name, data):
-    """``log`` and inverse of ``1 + h/c`` from ``h`` with the scale ``c^-1``
-    equal those of ``S = (c + h) * c^-1`` from ``S - 1``: exact, windowed,
-    and planned with a band, with the same ceiling and floor."""
+    """``log`` and inverse of ``1 + h/c`` from the split record of ``c + h``,
+    with the weights ``c^-i``, equal those of ``S = (c + h) * c^-1`` formed
+    and expanded from ``S - 1``: exact, windowed, and with a band, with the
+    same ceiling and floor.  So do the public ``invert`` of ``t^nu (c + h)``
+    and the public ``dlog``, and the ``Dlog`` form of the residue planner."""
+    from ccsym.forms import _dlog_form, d, dlog, dlog_monomial
+
     ring, n = WEIGHTED[name], data.draw(st.integers(1, 2))
     h = data.draw(sharp_generators(ring, n, constant=False))
     hypothesis.assume(h.terms)
     c = data.draw(weighted_constants(ring))
+    ring, n = h.ring, h.n  # a replayed example carries its own
     scale = c.inverse()
     s = (h + c) * scale
     parts = laurent._generator_parts(h)
     assert parts == laurent._generator_parts(s - 1)
     hi = data.draw(_indices(n, -1, 3))
     lo = tuple(min(x, -1) for x in hi)
+    window = Window(lo, hi)
+    record = laurent._Sharp(h + c, c)
+
+    def normalized(coeff_at, window, band=None):
+        return laurent._expand_series(s - 1, coeff_at, window, band=band,
+                                      keep_exact=coeff_at is geometric_coefficient)
+
     for band in (None, data.draw(_indices(n, -4, 3))):
-        weighted = laurent._Planned(lo, hi, band, parts, h, scale)
-        normalized = laurent._Planned(lo, hi, band, parts)
-        assert log_sharp(h + c, weighted) == log_sharp(s, normalized)
-        assert (laurent._sharp_inverse(h, weighted)
-                == laurent._sharp_inverse(s - 1, normalized))
+        assert record.expand(log_coefficient, window, band) == \
+            normalized(log_coefficient, window, band)
+        assert record.expand(geometric_coefficient, window, band, keep_exact=True) == \
+            normalized(geometric_coefficient, window, band)
+        assert _dlog_form(ring, n, (0,) * n, record, window, band) == \
+            d(s).scale(normalized(geometric_coefficient, window, band))
+    assert record.expand(log_coefficient, window) == log_sharp(s, window)
     if not parts[0]:  # terminating: the inverse is exact, window or not
-        exact = laurent._sharp_inverse(h, laurent._Planned(lo, hi, None, parts, h, scale))
-        assert exact.is_exact() and exact == laurent._sharp_inverse(s - 1)
+        exact = record.expand(geometric_coefficient, window, keep_exact=True)
+        assert exact.is_exact() and exact == normalized(geometric_coefficient, None)
+    nu = data.draw(_indices(n, -2, 2))
+    f = (h + c).shift(nu)
+    for w in (None, window) if not parts[0] else (window,):
+        shifted = None if w is None else Window(laurent._add_idx(w.lo, nu),
+                                                laurent._add_idx(w.hi, nu))
+        want = (normalized(geometric_coefficient, shifted) * scale).shift(tuple(-x for x in nu))
+        assert invert(f, w) == want
+        assert dlog(f, w) == dlog_monomial(ring, n, nu) + \
+            d(s).scale(normalized(geometric_coefficient, w))
 
 
 @pytest.mark.parametrize("name", WEIGHTED)

@@ -324,11 +324,16 @@ def test_cc_inverts_a_leading_coefficient_only_where_it_is_read(Qe, monkeypatch)
 
 
 def test_cc_inverts_no_leading_coefficient_for_a_positive_exponent(Qe, monkeypatch):
-    # cc(2 + e, t) = (2 + e)^1, and cc(e/t + 2 + e, t) reads c^-1 only
-    # through the expansion of its sharp slot, not for the exponent 1 of c
+    # cc(2 + e, t) = (2 + e)^1, and cc(e/t + 2 + e + e t, t) over Q[e]/(e^3)
+    # reads c^-1 only through the expansion of its sharp slot, whose t^0
+    # needs the weight of h^2, not for the exponent 1 of c.  At e^2 = 0 the
+    # log of e/t + 2 + e holds nothing at t^0 above its band, so it reads
+    # no weight, and cc no c^-1 at all
     e, t = Qe.gen("e"), t_var(Qe, 1, 1)
     c = Qe.from_scalar(2) + e
-    sharp = from_terms(Qe, 1, [((-1,), e), ((0,), c)])
+    Qe3 = ring_new(RingSpec("Q", nil=(("e", 3),)))
+    e3 = Qe3.gen("e")
+    c3 = Qe3.from_scalar(2) + e3
     calls = []
     inverse = type(c).inverse
 
@@ -338,8 +343,10 @@ def test_cc_inverts_no_leading_coefficient_for_a_positive_exponent(Qe, monkeypat
 
     monkeypatch.setattr(type(c), "inverse", counted)
     assert cc([monomial(Qe, 1, (0,), c), t]) == c and calls == []
-    cc([sharp, t])
-    assert calls == [c]
+    assert cc([from_terms(Qe, 1, [((-1,), e), ((0,), c)]), t]) == c and calls == []
+    sharp = from_terms(Qe3, 1, [((-1,), e3), ((0,), c3), ((1,), e3)])
+    assert cc([sharp, t_var(Qe3, 1, 1)]) == c3 * (e3 * e3 * Fraction(-1, 4)).exp()
+    assert calls == [c3]
 
 
 def test_cc_splits_each_slot_once(Qe, monkeypatch):
