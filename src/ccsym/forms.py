@@ -19,19 +19,11 @@ expansion is exact on its band only, so it stays inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import (
-    Coef,
-    Ring,
-    geometric_coefficient,
-    json_int,
-    json_list,
-    json_object,
-    log_coefficient,
-)
+from .coeff import Ring, json_int, json_list, json_object
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -191,19 +183,20 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     The monomial factor contributes the exact ``nu_j dt_j / t_j``; the
     constant drops out; the sharp factor contributes ``d(S) * S^{-1}`` under
     the window protocol (exact when the inverse terminates by nilpotency).
-    ``S`` is formed here, so its record has ``c = 1``: no weights.
+    ``S`` is formed here, so its record is ``_Sharp(S, 1)``: no weights.
     """
     nu, _, s = coarse_split(f)
     return _dlog_form(f.ring, f.n, nu, _Sharp(s, f.ring.one()) if s != 1 else None, window)
 
 
 def _dlog_form(ring, n, nu, sharp, window, band=None):
-    """``dlog(t^nu c S) = dlog t^nu + c^-1 d(h) * S^-1`` for the split record
-    ``sharp`` of ``S`` (``None``: ``S = 1``), ``S^-1`` expanded from it."""
+    """``dlog(t^nu g) = dlog t^nu + d(h) * g^-1`` for the split record
+    ``sharp`` of ``g = c + h`` (``None``: ``g`` constant): ``d(g) = d(h)``,
+    and the record's inverse is ``1 / g``, weighted by ``c^-(i + 1)`` or,
+    for the public :func:`dlog`'s ``_Sharp(S, 1)``, not at all."""
     out = dlog_monomial(ring, n, nu)
     if sharp is not None:
-        ds = d(sharp.h) if sharp.c.is_one() else d(sharp.h).scale(sharp.scale)
-        out = out + ds.scale(sharp.expand(geometric_coefficient, window, band, keep_exact=True))
+        out = out + d(sharp.h).scale(sharp.inverse(window, band))
     return out
 
 
@@ -226,21 +219,19 @@ def res(omega: DiffForm):
 
 @dataclass(eq=False)
 class Log:
-    """The 0-form ``log(s / c)``, for a unit constant ``c`` (default 1) with
-    ``s / c`` multiplicatively sharp.  ``s / c`` is never formed: the
-    expansion weights the powers of ``s - c`` by those of ``c^-1``."""
+    """The 0-form ``log s`` of a multiplicatively sharp series ``s``, or,
+    given a split record (``laurent._Sharp``), ``log S`` of its sharp part
+    ``S = g / c``, which is never formed."""
 
-    s: LaurentElt
-    c: object = 1
-    sharp: _Sharp = field(default=None, init=False, repr=False)  # set by symbol.cc
+    s: LaurentElt | _Sharp
 
 
 @dataclass(eq=False)
 class Dlog:
-    """The 1-form ``dlog f`` of an invertible series."""
+    """The 1-form ``dlog f`` of an invertible series ``f``, or, given a split
+    record (``laurent._Sharp``), ``dlog S = dlog g`` of its sharp part."""
 
-    f: LaurentElt
-    sharp: _Sharp = field(default=None, init=False, repr=False)  # set by symbol.cc
+    f: LaurentElt | _Sharp
 
 
 def _max_idx(l, m):
@@ -271,9 +262,10 @@ class _Factor:
 
     ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
     ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse of a sharp part, planned here off its split record ``sharp``
-    (``laurent._Sharp``), which ``symbol.cc`` handed over or which is made
-    here, and which expands it in :attr:`form`:
+    inverse, planned here off its split record ``sharp`` (``laurent._Sharp``),
+    which expands it in :attr:`form`: the record a ``Log`` or ``Dlog`` holds,
+    or ``_Sharp(s, 1)`` of a ``Log(s)``'s series, or the record of the
+    ``t^-nu f`` a ``Dlog(f)`` splits off (none when its sharp part is 1).
     ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
     (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
     is windowed (and so cut at its band) or exact.  ``inner`` maps the
@@ -288,17 +280,17 @@ class _Factor:
         self.parts = self.low = self.need = self.band = None
         self.windowed = False
         if isinstance(x, Log):
-            s, self.degree, sharp = x.s, 0, x.sharp
-            if sharp is None:
-                sharp = _Sharp(s, x.c if isinstance(x.c, Coef) else s.ring.from_scalar(x.c))
+            self.degree, sharp = 0, x.s
+            if isinstance(sharp, LaurentElt):
+                sharp = _Sharp(sharp, sharp.ring.one())
+            s = sharp.g
         elif isinstance(x, Dlog):
-            s, self.degree, sharp = x.f, 1, x.sharp
-            if sharp is not None:
-                self.nu = (0,) * s.n  # cc's record: g = t^-nu f has valuation 0
+            self.degree, sharp = 1, x.f
+            if isinstance(sharp, _Sharp):
+                self.nu, s = (0,) * sharp.g.n, sharp.g  # g = t^-nu f: valuation 0
             else:
-                self.nu, c, g = _unit_split(s)  # split once, never divided by c
-                if len(g.terms) > 1:  # S != 1
-                    sharp = _Sharp(g, c)
+                self.nu, c, s = _unit_split(sharp)  # split once, never divided by c
+                sharp = _Sharp(s, c) if len(s.terms) > 1 else None  # S != 1
             self.floors = self._monomial_floors()
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
@@ -319,7 +311,7 @@ class _Factor:
             self.floors = {(): self.low}
             return
         self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
-        for j in range(1, n + 1):  # the support of d(S), read off g
+        for j in range(1, n + 1):  # the support of d(h) = d(g)
             e = _unit_vector(n, j)
             support = [_sub_idx(l, e) for l in sharp.g.terms if l[j - 1]]
             if support:
@@ -346,7 +338,7 @@ class _Factor:
         and where the expansion sits, the top of what multiplies it plus the
         expansion's own.  That is its ceiling when it is windowed.  An
         inverse that terminates by nilpotency is exact, a sum of products of
-        nilpotent terms; it enters only multiplied by ``d_j S``, whose
+        nilpotent terms; it enters only multiplied by ``d_j h``, whose
         coefficients are nilpotent too, so at most ``nil_index - 2`` of them
         survive."""
         if isinstance(self.source, Log):
@@ -371,15 +363,15 @@ class _Factor:
         """The factor as a form, its expansion certified up to its ceiling
         and banded: exact from ``band`` up only, so it never leaves here.
         A log carries the floor the planner read, :func:`_log_floor`.  The
-        record expands ``log S`` and ``S^-1`` from ``h`` with the weights
-        ``c^-i``, and a ``Dlog`` is ``dlog t^nu + c^-1 d(h) * S^-1``."""
+        record expands ``log S`` and ``1 / g`` from ``h``, and a ``Dlog`` is
+        ``dlog t^nu + d(h) * g^-1``."""
         hi, band = self.ceiling, self.band
         if band is not None and _le_idx(band, self.low):
             band = None  # the expansion holds nothing below its floor: no cut
         sharp = self.sharp
         window = None if sharp is None else Window(_min_idx(self.low, hi), hi)
         if isinstance(self.source, Log):
-            log = sharp.expand(log_coefficient, window, band)
+            log = sharp.log(window, band)
             return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
         return _dlog_form(self.ring, self.n, self.nu, sharp, window, band)
 
@@ -407,13 +399,13 @@ def _partial(chain, products):
 def certified_residues(terms):
     """``res(g ^ w_1 ^ ... ^ w_n)`` for each ``(g, [w_1, ..., w_n])`` of a batch.
 
-    ``g`` is a series or ``Log(s)``, each ``w_k`` a 1-form or ``Dlog(f)``.
+    ``g`` is a series or a ``Log``, each ``w_k`` a 1-form or a ``Dlog``.
     Series and forms are taken as given, exact or windowed; each ``Log`` and
     ``Dlog`` is expanded at most once for the whole batch (factors are shared
     by identity), on the band the target ``(-1, ..., -1)`` reads, by its
-    split record (``laurent._Sharp``): the one ``symbol.cc`` handed over, or
-    one made for it, which plans the factor and expands it from ``h = g - c``
-    with the weights ``c^-i``.  The residue is a signed sum of summands, one
+    split record (``laurent._Sharp``): the one it holds, as ``symbol.cc``
+    hands each slot over, or one made for its series, which plans the factor
+    and expands it from ``h = g - c``.  The residue is a signed sum of summands, one
     per permutation ``p`` of the components:
     ``sign(p) * [g * w_1[p_1] * ... * w_n[p_n]]`` at the target.
 

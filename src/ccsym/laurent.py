@@ -21,9 +21,9 @@ to come can return below it, so ``log``, ``exp`` and composition are
 windowed there even when the series terminates by nilpotency; an inverse
 that terminates so stays exact.  An expansion that ``forms.certified_residues``
 plans may also have a band floor; a windowed sum is then cut from below as
-well, and is exact on the band alone.  The sharp part ``S = g / c`` of a
-series is expanded from its split record, :class:`_Sharp`, without forming
-``S``.
+well, and is exact on the band alone.  The split record of a unit
+``g = c + h``, :class:`_Sharp`, expands ``log(g / c)`` and ``1 / g`` from
+``h``, without forming the sharp part ``S = g / c``.
 
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
@@ -341,8 +341,8 @@ class LaurentElt:
                  for l in sorted(self.terms, key=lex_key)]
         window = None
         if self.hi is not None:
+            # the floor as it is, also where it lies above the ceiling
             lo = self.floor if self.floor is not None else self.support_lo() or (0,) * self.n
-            lo = _min_idx(lo, self.hi)
             window = {"lo": list(lo), "hi": list(self.hi)}
         return {"n": self.n, "terms": terms, "window": window}
 
@@ -567,9 +567,11 @@ def _unit_split(f: LaurentElt):
 def coarse_split(f: LaurentElt):
     """f = t^nu * c * S with c the leading coefficient and S sharp, constant 1.
 
-    This split is total on exact invertible input and is what the symbol and
-    inversion routines consume; the finer lex-positive/lex-negative splitting
-    of S lives in :func:`decompose`.
+    This split is total on exact invertible input.  Inside the engine only
+    the public ``forms.dlog`` forms ``S``; ``cc``, :func:`invert` and
+    :func:`decompose` take ``g = t^-nu f`` from :func:`_unit_split` and
+    never divide it by ``c``.  The finer lex-positive/lex-negative splitting
+    lives in :func:`decompose`.
     """
     nu, c, g = _unit_split(f)
     return nu, c, g if c.is_one() else g * c.inverse()
@@ -613,20 +615,24 @@ def _divide_neg_defect(d: LaurentElt, q: LaurentElt):
 def decompose(f: LaurentElt) -> UnitDecomposition:
     """Split an exact invertible series into monomial, constant and unipotent parts.
 
-    The lex-negative factor is peeled by clearing the negative defect of
-    ``S * v_minus^{-1}``, dividing it exactly by the nonnegative part; each
-    pass pushes the defect twice as deep into the nilradical.  Inputs whose
-    lex-negative factor is not a Laurent polynomial (possible once n >= 2)
-    fail with a stability error rather than looping.
+    The lex-negative factor is peeled from ``g = t^-nu f`` by clearing the
+    negative defect of ``q = g * v_minus^{-1}``, dividing it exactly by the
+    nonnegative part; each pass pushes the defect twice as deep into the
+    nilradical.  ``g`` is never divided by its constant: the lex-minimum
+    elimination divides by the constant of ``q`` at every step, so a unit
+    factor of ``q`` leaves ``delta`` as it is, and the constant of the last
+    ``q`` is ``c``.  Inputs whose lex-negative factor is not a Laurent
+    polynomial (possible once n >= 2) fail with a stability error rather
+    than looping.
     """
     require_exact((f,), "decompose")
-    nu, c, s = coarse_split(f)
+    nu, _, g = _unit_split(f)
     ring = f.ring
     unit = one(ring, f.n)
     v_minus = unit
     inv_v_minus = unit
     for _ in range(ring.nil_index.bit_length() + 3):
-        q = s * inv_v_minus
+        q = g * inv_v_minus
         d = neg_part(q)
         if not d.terms:
             break
@@ -635,11 +641,10 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
         inv_v_minus = inv_v_minus * invert(unit + delta)  # exact: delta is nilpotent
     else:
         raise InternalConsistencyError("lex-negative peeling did not terminate")
-    c_extra = q.constant_coefficient()
-    if not c_extra.is_invertible():
+    c = q.constant_coefficient()
+    if not c.is_invertible():
         raise InternalConsistencyError("constant of the nonnegative part is not a unit")
-    v_plus = q * c_extra.inverse()
-    return UnitDecomposition(nu, c * c_extra, v_plus, v_minus)
+    return UnitDecomposition(nu, c, q * c.inverse(), v_minus)
 
 
 # -- certified series expansion ------------------------------------------------------
@@ -827,16 +832,21 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
 
 
 class _Sharp:
-    """The sharp part ``S = g / c`` of a series, expanded without forming it.
+    """The split record of a unit ``g = c + h`` with constant term ``c``:
+    the one handle on its sharp part ``S = g / c``, which it never forms.
 
-    ``g`` has constant term ``c``, a unit (for a log, up to a nilpotent), and
-    ``h = g - c``.  ``S - 1`` is ``c^-1 h`` term by term, so both have the
-    same support, the same unit and nilpotent terms and the same floor
-    (``_nil_cost``): ``parts``, the ``_generator_parts`` of ``h``, plan ``S``
-    exactly.  ``scale`` is ``c^-1``, computed on first read.  ``symbol.cc``
-    makes one record per slot, from ``g = t^-nu f``, for the slot's ``Log``
-    and ``Dlog``; ``invert``, ``forms.dlog`` and the residue planner make
-    their own.
+    ``c`` is a unit (for a log, up to a nilpotent).  The record names the
+    two expansions of ``g`` the explicit formula reads, :meth:`log`
+    (``log S``) and :meth:`inverse` (``1 / g``), both sums over the powers
+    of ``h`` weighted by those of ``scale = c^-1``, computed on first read.
+    ``S - 1`` is ``c^-1 h`` term by term, so both have the same support, the
+    same unit and nilpotent terms and the same floor (``_nil_cost``):
+    ``parts``, the ``_generator_parts`` of ``h``, plan ``S`` exactly.  The
+    weights are chosen here, at construction: ``_Sharp(g, c)`` weights the
+    powers of ``h``, ``_Sharp(S, 1)`` carries none.  ``symbol.cc`` makes one
+    record per slot, from ``g = t^-nu f``, and hands it to the residues as
+    ``Log(record)`` and ``Dlog(record)``; ``invert``, ``log_sharp``,
+    ``forms.dlog`` and the residue planner make their own.
     """
 
     def __init__(self, g, c):
@@ -849,42 +859,48 @@ class _Sharp:
         """``c^-1``, whose powers weight those of ``h``."""
         return self.c.inverse()
 
-    def expand(self, coeff_at, window, band=None, keep_exact=False):
-        """``sum coeff_at(i) * (S - 1)^i`` as ``sum coeff_at(i) * c^-i * h^i``
-        (see :func:`_expand_series`): the powers of ``h`` keep the small
-        coefficients of ``g``, and each weight ``c^-i`` enters once, in the
-        coefficient of its power."""
-        weighted = coeff_at
-        if not self.c.is_one():
-            weights = [self.c.ring.one()]
+    def _weighted(self, coeff_at, shift):
+        """``i -> coeff_at(i) * c^-(i + shift)``, each power of ``c^-1``
+        formed once: the powers of ``h`` keep the small coefficients of
+        ``g``, and each weight enters once, in the coefficient of its power."""
+        if self.c.is_one():
+            return coeff_at
+        weights = [self.c.ring.one()]
 
-            def weighted(i):
-                while len(weights) <= i:
-                    weights.append(weights[-1] * self.scale)
-                return weights[i] * coeff_at(i)
+        def weighted(i):
+            while len(weights) <= i + shift:
+                weights.append(weights[-1] * self.scale)
+            return weights[i + shift] * coeff_at(i)
 
-        return _expand_series(self.h, weighted, window, keep_exact=keep_exact,
+        return weighted
+
+    def log(self, window, band=None):
+        """``log(g / c) = sum log_coefficient(i) * c^-i * h^i`` (see
+        :func:`_expand_series`): windowed under a ceiling, also where it
+        terminates."""
+        return _expand_series(self.h, self._weighted(log_coefficient, 0), window,
                               band=band, parts=self.parts)
+
+    def inverse(self, window, band=None):
+        """``1 / g = sum (-1)^i * c^-(i + 1) * h^i``: exact where it
+        terminates by nilpotency, window or not."""
+        return _expand_series(self.h, self._weighted(geometric_coefficient, 1), window,
+                              keep_exact=True, band=band, parts=self.parts)
 
 
 def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     """Inverse of an exact invertible series, exact where possible.
 
-    The monomial and constant factors invert exactly; the sharp factor
-    contributes a geometric series, which is itself exact whenever its
-    generator is elementwise nilpotent, window or not, and otherwise runs
-    under the certified window protocol.  One ``c^-1`` weights the series
-    and scales its sum.
+    ``f = t^nu g``: the monomial factor inverts exactly, and ``1 / g`` is
+    the inverse of ``g``'s split record, a geometric series exact whenever
+    its generator is elementwise nilpotent, window or not, and otherwise
+    under the certified window protocol.
     """
     nu, c, g = _unit_split(f)
     if window is not None and any(nu):
         # a plan concerns a sharp part, whose monomial factor is 1
         window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
-    sharp = _Sharp(g, c)
-    inv = sharp.expand(geometric_coefficient, window, keep_exact=True)
-    if not c.is_one():
-        inv = inv * sharp.scale
-    return inv.shift(tuple(-x for x in nu))
+    return _Sharp(g, c).inverse(window).shift(tuple(-x for x in nu))
 
 
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -896,7 +912,7 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    return _expand_series(f - one(f.ring, f.n), log_coefficient, window)
+    return _Sharp(f, f.ring.one()).log(window)
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
@@ -941,6 +957,13 @@ def stable_coefficient(build, target):
 # -- serialization ---------------------------------------------------------------------
 
 def series_from_json(ring: Ring, doc) -> LaurentElt:
+    """A series document: ``n``, ``terms`` and an optional ``window``.
+
+    A window is a request box, ``lo <= hi``, except for a series that lists
+    no term: an engine-made floor may lie above the ceiling in some
+    coordinate (``log_sharp(1 + t)`` certified up to ``t^-5`` has floor
+    ``t^0``), and such a series reads back as written.
+    """
     json_object(doc, "a series")
     try:
         n = json_int(doc["n"])
@@ -952,9 +975,16 @@ def series_from_json(ring: Ring, doc) -> LaurentElt:
         raise ParseError(f"bad series document: {exc}") from exc
     win = None
     if window is not None:
-        win = window_from_json(window)
+        lo, hi = _box_from_json(window)
+        if not pairs and len(lo) == len(hi):
+            return LaurentElt(ring, n, {}, hi, lo)
+        win = Window(lo, hi)
     return from_terms(ring, n, pairs, win)
 
 
+def _box_from_json(doc):
+    return tuple(json_int(x) for x in doc["lo"]), tuple(json_int(x) for x in doc["hi"])
+
+
 def window_from_json(doc):
-    return Window(tuple(json_int(x) for x in doc["lo"]), tuple(json_int(x) for x in doc["hi"]))
+    return Window(*_box_from_json(doc))

@@ -14,11 +14,12 @@ elementary values:
 Each slot is split once, to ``nu``, ``c`` and ``g = t^-nu * f``.  The sharp
 factor ``S = g * c^-1`` is never formed: a slot that some exp-res subset
 reads gets one split record (``laurent._Sharp``: ``g``, ``c``, ``h = g - c``
-and the generator parts of ``h``), and goes to the residues as ``Log(g, c)``
-and ``Dlog(g)``, which both point at it, so the planner splits no slot
-again; the record expands both from ``h`` with the weights ``c^-i``.
-``c^-1`` is computed at most once per slot, on its record, and only where a
-negative constant-slot exponent or an expansion's weight reads it.
+and the generator parts of ``h``), and goes to the residues as
+``Log(record)`` and ``Dlog(record)``, so the planner splits no slot again;
+the record expands ``log S`` and ``1 / g`` from ``h`` with the weights
+``c^-i``.  ``c^-1`` is computed at most once per slot, on its record, and
+only where a negative constant-slot exponent or an expansion's weight reads
+it.
 
 The sign map comes in the Vostokov--Fesenko determinant form and the
 Khovanskii product form; the additive symbol is the determinant of the
@@ -131,7 +132,7 @@ def cc(entries, want_trace=False):
     contributes; purely monomial/constant inputs evaluate over any base.
     No sharp factor ``S = t^-nu f c^-1`` is formed: a slot an exp-res subset
     reads enters the residues as the split record of ``t^-nu f`` and ``c``,
-    which its ``Log`` and ``Dlog`` point at, and its ``c^-1`` is computed at
+    as ``Log(record)`` and ``Dlog(record)``, and its ``c^-1`` is computed at
     most once, on the record, shared by a negative constant-slot exponent
     and the slot's expansions.
     """
@@ -200,15 +201,13 @@ def _sharp_contribution(ring, n, nus, sharps, subsets, trace):
     A subset T with least slot k contributes the log of k's sharp factor,
     ``dlog S_j`` for the other slots j in T (``dlog(t^-nu f_j)``, the
     constant dropping out) and the monomial dlog of the slots outside T; all
-    of them go to one certified evaluation, as a ``Log`` and ``Dlog`` of
-    ``t^-nu f`` that point at the slot's record in ``sharps``.  A ``trace``
-    list, when given, gets one line per nonzero residue.
+    of them go to one certified evaluation, as ``Log(record)`` and
+    ``Dlog(record)`` of the slot's record in ``sharps``.  A ``trace`` list,
+    when given, gets one line per nonzero residue.
     """
     monomials = [dlog_monomial(ring, n, nu) for nu in nus]
-    logs = {k: Log(sharps[k].g, sharps[k].c) for k in {min(t_set) for t_set in subsets}}
-    dlogs = {j: Dlog(sharp.g) for j, sharp in sharps.items()}
-    for j, x in [*logs.items(), *dlogs.items()]:  # planned from the slot's record
-        x.sharp = sharps[j]
+    logs = {k: Log(sharps[k]) for k in {min(t_set) for t_set in subsets}}
+    dlogs = {j: Dlog(sharp) for j, sharp in sharps.items()}
     terms = []
     for t_set in subsets:
         k = min(t_set)

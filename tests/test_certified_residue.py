@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ccsym import forms, laurent
+from ccsym import forms, laurent, symbol
 from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
-from ccsym.coeff import RingSpec, log_coefficient, ring_new
+from ccsym.coeff import RingSpec, ring_new
 from ccsym.errors import ParseError, StabilityExhaustedError, UnsupportedRingError
 from ccsym.forms import DiffForm, Dlog, Log, certified_residue, certified_residues, dlog, wedge
 from ccsym.laurent import Window, from_terms, log_sharp, one, stable_coefficient, t_var, zero
@@ -84,8 +84,9 @@ def test_trial_46_keeps_value_and_trace():
 def expansions(monkeypatch):
     """Every call of laurent._expand_series, as (generator, first coefficients).
 
-    The coefficient of ``g^0`` tells a log (0) from an inverse (1): a split
-    record weights ``g^i`` by ``c^-i``, which leaves it as it is."""
+    The coefficient of ``g^0`` tells a log (0) from an inverse (``c^-1``, a
+    unit): a split record weights ``g^i`` by ``c^-i`` in a log and by
+    ``c^-(i + 1)`` in an inverse."""
     calls = []
     real = laurent._expand_series
 
@@ -138,20 +139,73 @@ def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
             super().__init__(x)
             made.append(self)
 
-    expand = laurent._Sharp.expand
+    log = laurent._Sharp.log
 
-    def recorded(sharp, coeff_at, window, *args, **kw):
-        if coeff_at is log_coefficient:
-            windows[id(sharp)] = window.hi
-        return expand(sharp, coeff_at, window, *args, **kw)
+    def recorded(sharp, window, *args, **kw):
+        windows[id(sharp)] = window.hi
+        return log(sharp, window, *args, **kw)
 
     monkeypatch.setattr(forms, "_Factor", Recorded)
-    monkeypatch.setattr(laurent._Sharp, "expand", recorded)
+    monkeypatch.setattr(laurent._Sharp, "log", recorded)
     value, trace = cc([f1, f2], want_trace=True)
     needs = {id(f.sharp): f.need for f in made if isinstance(f.source, Log)}
     assert windows == needs and sorted(needs.values()) == [(0,), (2,)]
     assert str(value) == "1*e^1 + -1"
     assert trace == ["monomial: (-1)^1", "sharp slots [1, 2]: exp(res) with res = -1*e^1"]
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Every split record (``laurent._Sharp``) built, in order."""
+    made = []
+    init = laurent._Sharp.__init__
+
+    def counted(self, g, c):
+        made.append(self)
+        init(self, g, c)
+
+    monkeypatch.setattr(laurent._Sharp, "__init__", counted)
+    return made
+
+
+def test_cc_hands_its_records_to_the_residues(Qe, records, monkeypatch):
+    # cc(1 + t, 1 + e/t): both slots are sharp with nu = 0, so the one
+    # exp-res subset reads both; each gets one record, and the residues
+    # plan from those, building none of their own
+    e = Qe.gen("e")
+    f1 = from_terms(Qe, 1, [((0,), 1), ((1,), 1)])
+    f2 = from_terms(Qe, 1, [((0,), 1), ((-1,), e)])
+    built = []
+    real = symbol.certified_residues
+
+    def watched(terms):
+        before = len(records)
+        out = real(terms)
+        built.append(len(records) - before)
+        return out
+
+    monkeypatch.setattr(symbol, "certified_residues", watched)
+    value = cc([f1, f2])
+    assert [r.g for r in records] == [f1, f2] and built == [0]
+    assert value == Qe.one() - e  # res(log(1 + t) dlog(1 + e/t)) = -e
+
+
+def test_a_series_factor_builds_its_own_record(Qe, records):
+    # Log(s) builds _Sharp(s, 1); Dlog(f) builds the record of t^-nu f and
+    # its leading coefficient, or none when its sharp part is 1; a factor
+    # given a record builds none
+    e = Qe.gen("e")
+    s = from_terms(Qe, 1, [((0,), 1), ((-1,), e)])
+    f = from_terms(Qe, 1, [((1,), 2), ((2,), 1)])  # t (2 + t)
+    forms._Factor(Log(s))
+    assert len(records) == 1 and (records[0].g, records[0].c) == (s, Qe.one())
+    forms._Factor(Dlog(f))
+    assert len(records) == 2
+    assert (records[1].g, records[1].c) == (f.shift((-1,)), Qe.from_scalar(2))
+    forms._Factor(Dlog(from_terms(Qe, 1, [((1,), 3)])))  # 3t: S = 1
+    forms._Factor(Log(records[0]))
+    forms._Factor(Dlog(records[1]))
+    assert len(records) == 2
 
 
 def test_witt_coordinate_window_too_low_raises(Qe, expansions):

@@ -3,8 +3,11 @@
 ``data/cli_golden.json`` holds requests over all eight commands (sharp ``cc``
 at n = 1 and 2, ``decompose``, a windowed ``res``, ``witt-pair`` over Z/9,
 ``phi``, ``check`` suites) and error cases, each with its argv, exit code and
-the exact stdout the engine wrote when the corpus was recorded.  Engine
-refactors must leave every response byte-identical.
+the exact stdout the engine wrote when the corpus was recorded, among them
+``phi`` at degree 3, ``cc`` over Z/9 and over ``Q[e]/(e^3)`` with a
+non-scalar leading coefficient, and malformed requests.  The CI smoke step
+replays the whole corpus through ``python -S -m ccsym.cli`` subprocesses.
+Engine refactors must leave every response byte-identical.
 """
 
 import contextlib

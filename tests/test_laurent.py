@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from ccsym.laurent import (
     stable_coefficient,
     t_var,
     valuation,
+    window_from_json,
     zero,
 )
 
@@ -334,6 +336,21 @@ def test_series_json_round_trip(tower):
     g = invert(from_terms(tower, 1, [((0,), 1), ((1,), -1)]), Window.box((0,), (3,)))
     back = series_from_json(tower, g.to_json())
     assert back.terms == g.terms and back.hi == g.hi
+
+
+def test_a_floor_above_the_ceiling_survives_the_json_round_trip(Q):
+    # log(1 + t) certified up to t^-5 holds no term and has floor t^0; its
+    # JSON window writes that floor as it is, not clamped to the ceiling
+    f = log_sharp(from_terms(Q, 1, [((0,), 1), ((1,), 1)]), Window((-6,), (-5,)))
+    assert (f.terms, f.hi, f.floor) == ({}, (-5,), (0,))
+    doc = json.loads(json.dumps(f.to_json()))
+    assert doc["window"] == {"lo": [0], "hi": [-5]}
+    assert series_from_json(Q, doc) == f
+    listed = dict(doc, terms=[{"exp": [0], "coef": "1"}])
+    with pytest.raises(ParseError, match="bad window"):  # a term needs lo <= hi
+        series_from_json(Q, listed)
+    with pytest.raises(ParseError, match="bad window"):  # so does a request box
+        window_from_json(doc["window"])
 
 
 def test_windowed_term_below_its_floor_is_refused(Q):

@@ -8,7 +8,6 @@ can bring a term back below the window's ceiling.  Hypothesis drives the
 random series; without it these tests are skipped.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -136,20 +135,35 @@ def ring_and_n(draw, names):
 class Replay:
     """The draws of a falsifying example, as ``@example(data=Replay(...))``.
 
-    Each ``draw`` returns the next value, cycling, so every run of the test
-    must draw all of them.  The values carry their own ring: a test
-    parametrized by ring runs the example under each of its names.
+    Each ``draw`` returns the next value.  Every run of a test replays from
+    the first draw, since :func:`_replay_from_the_first_draw` rewinds each
+    ``Replay`` before each test: a run that stops early cannot misalign the
+    next.  The values carry their own ring: a test parametrized by ring runs
+    the example under each of its names.
     """
+
+    made = []
 
     def __init__(self, *draws):
         self.draws = draws
-        self._next = itertools.cycle(draws)
+        self.rewind()
+        Replay.made.append(self)
+
+    def rewind(self):
+        self._next = iter(self.draws)
 
     def draw(self, strategy, label=None):
         return next(self._next)
 
     def __repr__(self):
         return f"Replay{self.draws!r}"
+
+
+@pytest.fixture(autouse=True)
+def _replay_from_the_first_draw():
+    """Each test, and so each parametrization, runs its explicit example once."""
+    for replay in Replay.made:
+        replay.rewind()
 
 
 # Falsifying examples of mutants of the kernel, replayed before any random
@@ -500,11 +514,12 @@ def weighted_constants(draw, ring):
 @example(data=SCALE_POWER)
 @given(data=st.data())
 def test_weighted_expansions_match_the_normalized_ones(name, data):
-    """``log`` and inverse of ``1 + h/c`` from the split record of ``c + h``,
-    with the weights ``c^-i``, equal those of ``S = (c + h) * c^-1`` formed
-    and expanded from ``S - 1``: exact, windowed, and with a band, with the
-    same ceiling and floor.  So do the public ``invert`` of ``t^nu (c + h)``
-    and the public ``dlog``, and the ``Dlog`` form of the residue planner."""
+    """``log`` of ``S = 1 + h/c`` and the inverse of ``g = c + h`` from the
+    split record of ``g``, with the weights ``c^-i`` and ``c^-(i + 1)``,
+    equal ``log S`` and ``c^-1 S^-1`` with ``S = (c + h) * c^-1`` formed and
+    expanded from ``S - 1``: exact, windowed, and with a band, with the same
+    ceiling and floor.  So do the public ``invert`` of ``t^nu (c + h)`` and
+    the public ``dlog``, and the ``Dlog`` form of the residue planner."""
     from ccsym.forms import _dlog_form, d, dlog, dlog_monomial
 
     ring, n = WEIGHTED[name], data.draw(st.integers(1, 2))
@@ -526,16 +541,15 @@ def test_weighted_expansions_match_the_normalized_ones(name, data):
                                       keep_exact=coeff_at is geometric_coefficient)
 
     for band in (None, data.draw(_indices(n, -4, 3))):
-        assert record.expand(log_coefficient, window, band) == \
-            normalized(log_coefficient, window, band)
-        assert record.expand(geometric_coefficient, window, band, keep_exact=True) == \
-            normalized(geometric_coefficient, window, band)
+        assert record.log(window, band) == normalized(log_coefficient, window, band)
+        assert record.inverse(window, band) == \
+            normalized(geometric_coefficient, window, band) * scale
         assert _dlog_form(ring, n, (0,) * n, record, window, band) == \
             d(s).scale(normalized(geometric_coefficient, window, band))
-    assert record.expand(log_coefficient, window) == log_sharp(s, window)
+    assert record.log(window) == log_sharp(s, window)
     if not parts[0]:  # terminating: the inverse is exact, window or not
-        exact = record.expand(geometric_coefficient, window, keep_exact=True)
-        assert exact.is_exact() and exact == normalized(geometric_coefficient, None)
+        exact = record.inverse(window)
+        assert exact.is_exact() and exact == normalized(geometric_coefficient, None) * scale
     nu = data.draw(_indices(n, -2, 2))
     f = (h + c).shift(nu)
     for w in (None, window) if not parts[0] else (window,):
@@ -554,8 +568,10 @@ def test_weighted_expansions_match_the_normalized_ones(name, data):
 def test_weighted_residue_factors_match_the_normalized_ones(name, data):
     """``res(log(g_1 / c_1) dlog(t^nu g_2))``, planned from ``g_k - c_k``
     with the weights ``c_k^-i``, equals the residue of the normalized sharp
-    parts ``S_k = g_k * c_k^-1``; a ``Dlog`` that drops its ``c^-1`` is off
-    by that unit."""
+    parts ``S_k = g_k * c_k^-1``, with the log given as the split record of
+    ``g_1`` and the dlog as ``t^nu g_2`` or as the record of ``g_2`` (the
+    case ``nu = 0``); a ``Dlog`` that drops its ``c^-1`` is off by that
+    unit."""
     from ccsym.forms import Dlog, Log, certified_residue
 
     ring = WEIGHTED[name]
@@ -566,7 +582,10 @@ def test_weighted_residue_factors_match_the_normalized_ones(name, data):
     f2 = gs[1].shift((nu,))
     sharp = [g * c.inverse() for g, c in zip(gs, cs)]
     want = certified_residue(Log(sharp[0]), [Dlog(sharp[1].shift((nu,)))])
-    assert certified_residue(Log(gs[0], cs[0]), [Dlog(f2)]) == want
+    records = [laurent._Sharp(g, c) for g, c in zip(gs, cs)]
+    assert certified_residue(Log(records[0]), [Dlog(f2)]) == want
+    assert certified_residue(Log(records[0]), [Dlog(records[1])]) == \
+        certified_residue(Log(sharp[0]), [Dlog(sharp[1])])
 
 
 @pytest.mark.parametrize("name", CONNECTED)

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from ccsym.coeff import RingSpec, ring_new
-from ccsym.laurent import Window, from_terms, series_from_json
+from ccsym.laurent import Window, from_terms, invert, one, series_from_json, t_var
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -32,15 +32,22 @@ def _coefs(ring):
 
 @st.composite
 def series(draw):
-    """An exact series, a windowed one from ``from_terms``, or a windowed one
-    from arithmetic on it (a sum, a product or a shift by an exact series)."""
+    """An exact series, a windowed one from ``from_terms``, a windowed one
+    from arithmetic on it (a sum, a product or a shift by an exact series),
+    or an expansion certified only below its floor in ``t_1``: the inverse of
+    ``1 + t_1`` up to a negative ``t_1`` exponent holds no term, and its
+    floor lies above its ceiling there."""
     ring = draw(st.sampled_from(RINGS))
     n = draw(st.integers(1, 2))
     idx = st.tuples(*[st.integers(-3, 3)] * n)
     exact = from_terms(ring, n, draw(st.lists(st.tuples(idx, _coefs(ring)), max_size=4)))
-    kind = draw(st.sampled_from(["exact", "window", "sum", "product", "shift"]))
+    kind = draw(st.sampled_from(["exact", "window", "sum", "product", "shift", "above"]))
     if kind == "exact":
         return ring, exact
+    if kind == "above":
+        hi = (draw(st.integers(-3, -1)),) + draw(idx)[1:]
+        lo = tuple(x - 1 for x in hi)
+        return ring, invert(one(ring, n) + t_var(ring, n, 1), Window(lo, hi))
     lo = draw(idx)
     hi = tuple(a + b for a, b in zip(lo, draw(st.tuples(*[st.integers(0, 4)] * n))))
     above = st.tuples(*[st.integers(0, 5)] * n).map(lambda d: tuple(a + b for a, b in zip(lo, d)))

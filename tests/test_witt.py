@@ -5,7 +5,17 @@ import pytest
 
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.errors import InexactDivisionError, ParseError
-from ccsym.laurent import LaurentElt, Window, from_terms, log_sharp, monomial, t_var, zero
+from ccsym.laurent import (
+    LaurentElt,
+    Window,
+    from_terms,
+    log_sharp,
+    monomial,
+    one,
+    t_var,
+    zero,
+)
+from ccsym.symbol import cc
 from ccsym.witt import (
     GhostVector,
     IndexSet,
@@ -191,6 +201,45 @@ def test_witt_pair_over_modular_base():
     g = WittVector(s, {1: from_terms(z9, 1, [((0,), 5)]), 2: from_terms(z9, 1, [((0,), 2)])})
     out = witt_pair([t], g)
     assert out.coords[1] == z9.from_scalar(5) and out.coords[2] == z9.from_scalar(2)
+
+
+def _upsilon_x(unit, coords, x):
+    """``Y_x(w) = prod_{i in S} (1 - w_i x^i)`` of coordinates ``{i: w_i}``
+    already lifted to the ring of ``x``, multiplied out from ``unit``."""
+    out = unit
+    for i, w in coords.items():
+        out = out * (unit - w * x ** i)
+    return out
+
+
+@pytest.mark.parametrize("n, nil_order, top, cases, seed",
+                         [(1, 3, 4, 12, 4101), (2, 2, 3, 6, 4102)],
+                         ids=["n1-e3-N4", "n2-e2-N3"])
+def test_the_symbol_of_an_upsilon_slot_is_the_witt_pairing(n, nil_order, top, cases, seed):
+    """The abstract's relation with the Witt pairing: over
+    ``R' = R[x]/(x^(N+1))`` with ``S = {1..N}``,
+    ``cc([Y_x(g), f_1, ..., f_n]) == Y_x(witt_pair([f_1, ..., f_n], g))``,
+    since ``log Y_x(g) = -sum_m g(m) x^m / m`` for the ghost coordinates
+    ``g(m)``.  The left side reads the ``Y_x`` slot through ``cc``'s split
+    records, the right side each ``dlog f_i`` through ``witt_pair``'s
+    ``Dlog(f)``, with no code between them but the residue batch."""
+    ring = ring_new(RingSpec("Q", nil=(("e", nil_order),)))
+    ext, embed = ring.extended((("x", top + 1),))
+    x = ext.gen("x")
+    s = IndexSet(tuple(range(1, top + 1)))
+    rng = random.Random(seed)
+    nontrivial = 0
+    for _ in range(cases):
+        fs = [random_invertible_series(rng, ring, n) for _ in range(n)]
+        g = WittVector(s, {i: random_laurent_poly(rng, ring, n) for i in s})
+        slot = _upsilon_x(one(ext, n), {i: v.map_coefficients(ext, embed)
+                                        for i, v in g.coords.items()}, x)
+        lhs = cc([slot] + [f.map_coefficients(ext, embed) for f in fs])
+        pairing = witt_pair(fs, g)
+        rhs = _upsilon_x(ext.one(), {i: embed(v) for i, v in pairing.coords.items()}, x)
+        assert lhs == rhs, ([str(f) for f in fs], {i: str(v) for i, v in g.coords.items()})
+        nontrivial += not lhs.is_one()
+    assert nontrivial  # not every value is 1
 
 
 @pytest.mark.parametrize("windowed", [False, True], ids=["exact", "windowed"])
