@@ -280,10 +280,8 @@ class _Factor:
         self.parts = self.low = self.need = self.band = None
         self.windowed = False
         if isinstance(x, Log):
-            self.degree, sharp = 0, x.s
-            if isinstance(sharp, LaurentElt):
-                sharp = _Sharp(sharp, sharp.ring.one())
-            s = sharp.g
+            sharp = x.s if isinstance(x.s, _Sharp) else _Sharp(x.s, x.s.ring.one())
+            s, self.degree = sharp.g, 0
         elif isinstance(x, Dlog):
             self.degree, sharp = 1, x.f
             if isinstance(sharp, _Sharp):
