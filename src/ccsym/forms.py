@@ -59,7 +59,7 @@ class DiffForm:
 
     @staticmethod
     def _make(ring, n, degree, raw):
-        comps = {idx: g for idx, g in raw.items() if g.terms or g.hi is not None}
+        comps = {idx: g for idx, g in raw.items() if g}
         return DiffForm(ring, n, degree, comps)
 
     @staticmethod
@@ -142,7 +142,7 @@ def d(omega) -> DiffForm:
             if sign is None:
                 continue
             part = g.partial(i)
-            if not part.terms and part.hi is None:
+            if not part:
                 continue
             term = part if sign == 1 else -part
             raw[merged] = raw[merged] + term if merged in raw else term
@@ -288,7 +288,7 @@ class _Factor:
                 self.nu, s = (0,) * sharp.g.n, sharp.g  # g = t^-nu f: valuation 0
             else:
                 self.nu, c, s = _unit_split(sharp)  # split once, never divided by c
-                sharp = _Sharp(s, c) if len(s.terms) > 1 else None  # S != 1
+                sharp = _Sharp(s, c) if len(s._terms) > 1 else None  # S != 1
             self.floors = self._monomial_floors()
         else:
             s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
@@ -309,9 +309,10 @@ class _Factor:
             self.floors = {(): self.low}
             return
         self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
+        indices = self.parts[0] + self.parts[1]  # those of h: g's but its constant
         for j in range(1, n + 1):  # the support of d(h) = d(g)
             e = _unit_vector(n, j)
-            support = [_sub_idx(l, e) for l in sharp.g.terms if l[j - 1]]
+            support = [_sub_idx(l, e) for l in indices if l[j - 1]]
             if support:
                 coords = list(zip(*support))
                 self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
@@ -345,7 +346,7 @@ class _Factor:
             tops = {(j,): _unit_vector(self.n, j, -1)
                     for j in range(1, self.n + 1) if self.nu[j - 1]}
         else:
-            return {idx: part.hi if part.hi is not None else tuple(map(max, zip(*part.terms)))
+            return {idx: part.hi if part.hi is not None else part._support(max)
                     for idx, part in self.form.comps.items()}
         if self.inner:
             depth = self.ring.nil_index - 2  # a nilpotent term of h exists: nil_index >= 2
@@ -370,7 +371,7 @@ class _Factor:
         window = None if sharp is None else Window(_min_idx(self.low, hi), hi)
         if isinstance(self.source, Log):
             log = sharp.log(window, band)
-            return DiffForm.from_series(LaurentElt(log.ring, log.n, log.terms, log.hi, self.low))
+            return DiffForm.from_series(LaurentElt(log.ring, log.n, log._terms, log.hi, self.low))
         return _dlog_form(self.ring, self.n, self.nu, sharp, window, band)
 
 
@@ -387,7 +388,7 @@ def _partial(chain, products):
             b = f.form.comps.get(idx)
             if b is not None and k > 1:
                 b = p * b
-            products[key] = b if b is not None and b.terms else None
+            products[key] = b if b is not None and b._terms else None
         p = products[key]
         if p is None:
             return None

@@ -25,21 +25,42 @@ well, and is exact on the band alone.  The split record of a unit
 ``g = c + h``, :class:`_Sharp`, expands ``log(g / c)`` and ``1 / g`` from
 ``h``, without forming the sharp part ``S = g / c``.
 
+Indices are stored as packed int keys.  Each ``t_j`` has one field of
+``_BITS`` value bits holding its exponent plus ``2**(_BITS - 1)``, with a
+guard bit above it, and ``t_n`` sits in the top field, so int order is the
+lex order.  An exponent lies in ``[INDEX_MIN, INDEX_MAX]``, that is
+``[-2**16, 2**16 - 1]``.  The key of a product index is ``ka + kb - bias``,
+and it has a guard bit set exactly when some coordinate left the range,
+whether the field overflowed or borrowed.  With ``G`` every guard bit, the
+box test ``l <= hi`` is ``((H | G) - k) & G == G`` for ``H`` the packed
+``hi``, and ``lo <= l`` is ``((k | G) - L) & G == G``.  Bounds (``hi``,
+``floor``, windows, work boxes and bands) stay index tuples and are packed
+where they are tested, clamped one step past the key range, where no key
+lies.  A constructor (:func:`from_terms`, :func:`monomial`,
+:func:`series_from_json`) refuses an index outside the range with
+``ParseError``; an index the engine makes there (a product, shift, power or
+derivative) is refused with ``UnsupportedRingError``.  Keys are decoded
+only at the edges: ``to_json``, ``__str__``, the plans of
+:func:`_generator_parts` and the read-only ``terms`` view, which reads as
+``{index tuple: Coef}``, decodes on iteration, packs on lookup and stores
+nothing.
+
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
-the box adds its product into one accumulator per index through
+the box adds its product into one accumulator per key through
 :func:`ccsym.coeff.mul_into`, and an expansion carries each power of its
 generator in that form, reduced, to the next one.  ``Coef`` objects are built
-only for the series returned; ``terms`` stays ``{index tuple: Coef}``.
+only for the series returned.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .coeff import (
     Coef,
@@ -66,7 +87,7 @@ from .errors import (
 _EXPANSION_SANITY = 20000
 
 
-# -- multi-index order -------------------------------------------------------
+# -- multi-index order and packed keys --------------------------------------------
 
 def lex_key(l):
     """Sort key realizing the order: compare t_n first, then t_{n-1}, ..."""
@@ -102,6 +123,92 @@ def _unit_vector(n, j, value=1):
     return tuple(value if i == j - 1 else 0 for i in range(n))
 
 
+# The packed layout (module docstring): t_j's field holds its exponent plus
+# _MID in _BITS value bits, below a guard bit _TOP; t_1 sits lowest.
+_BITS = 17
+_STEP = _BITS + 1
+_TOP = 1 << _BITS
+_MID = _TOP >> 1
+_MASK = _TOP - 1
+INDEX_MIN, INDEX_MAX = -_MID, _MID - 1
+
+
+@lru_cache(maxsize=64)
+def _layout(n):
+    """``(bias, guard)`` of n fields: the key of index 0, and every guard bit."""
+    ones = ((1 << (n * _STEP)) - 1) // ((1 << _STEP) - 1)
+    return _MID * ones, _TOP * ones
+
+
+# _pack and _decode are memoized: small series keep meeting the same few
+# indices, and a cache hit costs a third of a pack or decode
+@lru_cache(maxsize=1024)
+def _pack(l):
+    """The key of index ``l``, or None when a coordinate lies outside the key range."""
+    k = 0
+    for e in reversed(l):
+        v = e + _MID
+        if not 0 <= v < _TOP:
+            return None
+        k = k << _STEP | v
+    return k
+
+
+@lru_cache(maxsize=1024)
+def _decode(k, n):
+    """The index tuple of key ``k`` of a series in n variables."""
+    return tuple([((k >> s) & _MASK) - _MID for s in range(0, n * _STEP, _STEP)])
+
+
+def _hi_key(hi):
+    """``H | G`` for a ceiling ``hi``: ``((H | G) - k) & G == G`` reads
+    ``k <= hi``.  A coordinate past the key range is clamped one step beyond
+    it, where the test still reads it exactly, since no key lies there."""
+    k = 0
+    for e in reversed(hi):
+        k = k << _STEP | (min(max(e + _MID, -1), _MASK) + _TOP)
+    return k
+
+
+def _lo_key(lo):
+    """``L`` for a floor ``lo``: ``((k | G) - L) & G == G`` reads ``lo <= k``;
+    clamped as :func:`_hi_key` is."""
+    k = 0
+    for e in reversed(lo):
+        k = k << _STEP | min(max(e + _MID, 0), _TOP)
+    return k
+
+
+def _delta(l):
+    """The signed packed offset of a shift by ``l``: ``k + _delta(l)`` is the
+    key of ``index(k) + l``, out of range exactly when it has a guard bit set,
+    as long as every ``|l_j| < 2**_BITS``; past that no key stays in range."""
+    d = 0
+    for x in reversed(l):
+        if not -_TOP < x < _TOP:
+            _refuse_index_range()
+        d = (d << _STEP) + x
+    return d
+
+
+def _refuse_index_range():
+    """An index the engine made (a product, shift, power or derivative) that
+    leaves the key range."""
+    raise UnsupportedRingError(
+        f"a series index leaves the range [{INDEX_MIN}, {INDEX_MAX}] of each coordinate")
+
+
+def _key_of(l, n):
+    """The key of an index given to a constructor, refused with ``ParseError``."""
+    if len(l) != n:
+        raise ParseError(f"index {l} does not have {n} entries")
+    k = _pack(l)
+    if k is None:
+        raise ParseError(f"index {l} lies outside the range [{INDEX_MIN}, {INDEX_MAX}] "
+                         "of each coordinate")
+    return k
+
+
 @dataclass(frozen=True)
 class Window:
     """A box ``[lo, hi]`` in Z^n; ``None`` in window positions means Exact."""
@@ -123,50 +230,58 @@ class Window:
 
 
 class LaurentElt:
-    """A sparse iterated Laurent polynomial, exact or certified on a window."""
+    """A sparse iterated Laurent polynomial, exact or certified on a window.
 
-    __slots__ = ("ring", "n", "terms", "hi", "floor")
+    ``_terms`` maps packed index keys to nonzero ``Coef``; ``terms`` is its
+    read-only ``{index tuple: Coef}`` view.  ``hi`` and ``floor`` are index
+    tuples.
+    """
+
+    __slots__ = ("ring", "n", "_terms", "hi", "floor")
 
     def __init__(self, ring, n, terms, hi=None, floor=None):
         self.ring = ring
         self.n = n
-        self.terms = terms
+        self._terms = terms
         self.hi = hi
         self.floor = floor
+
+    @property
+    def terms(self):
+        """Read-only ``{index tuple: Coef}`` view of the stored terms."""
+        return SeriesTerms(self)
 
     # -- construction ---------------------------------------------------------
 
     @staticmethod
     def _make(ring, n, raw, hi=None, floor=None):
-        terms = {}
-        for l, c in raw.items():
-            if not c:
-                continue
-            if hi is not None and not _le_idx(l, hi):
-                continue
-            terms[l] = c
+        """The nonzero terms of ``raw`` (packed keys) at ``<= hi``."""
         if hi is None:
-            floor = None
-        return LaurentElt(ring, n, terms, hi, floor)
+            return LaurentElt(ring, n, {k: c for k, c in raw.items() if c})
+        top, guard = _hi_key(hi), _layout(n)[1]
+        return LaurentElt(ring, n, {k: c for k, c in raw.items()
+                                    if c and (top - k) & guard == guard}, hi, floor)
 
     def is_exact(self):
         return self.hi is None
 
     def is_zero(self):
-        return not self.terms and self.hi is None
+        return not self._terms and self.hi is None
 
     def __bool__(self):
-        return bool(self.terms) or self.hi is not None
+        return bool(self._terms) or self.hi is not None
 
     def support_lo(self):
-        it = iter(self.terms)
-        first = next(it, None)
-        if first is None:
-            return None
-        lo = first
-        for l in it:
-            lo = tuple(min(a, b) for a, b in zip(lo, l))
-        return lo
+        """Componentwise minimum of the stored indices, None when there are none."""
+        return self._support(min)
+
+    def _support(self, bound):
+        """``bound`` (``min`` or ``max``) of the stored indices, field by field."""
+        keys = self._terms
+        if len(keys) < 2:
+            return _decode(next(iter(keys)), self.n) if keys else None
+        return tuple(bound((k >> s) & _MASK for k in keys) - _MID
+                     for s in range(0, self.n * _STEP, _STEP))
 
     def _floor(self):
         """Certified componentwise lower bound of the true support."""
@@ -178,12 +293,15 @@ class LaurentElt:
 
     def coefficient(self, l):
         l = tuple(l)
+        if len(l) != self.n:
+            raise ParseError(f"index {l} does not have {self.n} entries")
         _refuse_outside(l, self.hi)
-        c = self.terms.get(l)
+        c = self._terms.get(_pack(l))  # no key lies outside the range
         return c if c is not None else self.ring.zero()
 
     def constant_coefficient(self):
-        return self.coefficient((0,) * self.n)
+        c = self._terms.get(_layout(self.n)[0])
+        return c if c is not None else self.ring.zero()
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -200,20 +318,20 @@ class LaurentElt:
             return other
         if isinstance(other, Coef):
             self.ring.compatible(other.ring)
-            return LaurentElt._make(self.ring, self.n, {(0,) * self.n: other})
-        if isinstance(other, (int, Fraction)):
-            return LaurentElt._make(self.ring, self.n,
-                                    {(0,) * self.n: self.ring.from_scalar(other)})
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            other = self.ring.from_scalar(other)
+        else:
+            return NotImplemented
+        return LaurentElt._make(self.ring, self.n, {_layout(self.n)[0]: other})
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = dict(self.terms)
-        for l, c in other.terms.items():
-            cur = raw.get(l)
-            raw[l] = c if cur is None else cur + c
+        raw = dict(self._terms)
+        for k, c in other._terms.items():
+            cur = raw.get(k)
+            raw[k] = c if cur is None else cur + c
         hi = _min_known(self.hi, other.hi)
         floor = None if hi is None else _min_known(self._floor(), other._floor())
         return LaurentElt._make(self.ring, self.n, raw, hi, floor)
@@ -221,7 +339,7 @@ class LaurentElt:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentElt(self.ring, self.n, {l: -c for l, c in self.terms.items()},
+        return LaurentElt(self.ring, self.n, {k: -c for k, c in self._terms.items()},
                           self.hi, self.floor)
 
     def __sub__(self, other):
@@ -242,7 +360,7 @@ class LaurentElt:
             if not c:
                 return zero(self.ring, self.n)
             return LaurentElt._make(self.ring, self.n,
-                                    {l: scale(v, c) for l, v in self.terms.items()},
+                                    {k: scale(v, c) for k, v in self._terms.items()},
                                     self.hi, self.floor)
         other = self._coerce(other)
         if other is NotImplemented:
@@ -251,7 +369,8 @@ class LaurentElt:
             return zero(self.ring, self.n)
         hi = _combine_hi_mul(self, other)
         floor = None if hi is None else _add_idx(self._floor(), other._floor())
-        return LaurentElt(self.ring, self.n, _mul_terms(self.terms, other.terms, hi), hi, floor)
+        return LaurentElt(self.ring, self.n, _mul_terms(self.n, self._terms, other._terms, hi),
+                          hi, floor)
 
     __rmul__ = __mul__
 
@@ -268,23 +387,38 @@ class LaurentElt:
         l = tuple(l)
         hi = None if self.hi is None else _add_idx(self.hi, l)
         floor = None if self.floor is None else _add_idx(self.floor, l)
-        return LaurentElt(self.ring, self.n, {_add_idx(m, l): c for m, c in self.terms.items()},
-                          hi, floor)
+        offset = _delta(l) if self._terms else 0
+        if not offset:  # the keys stay as they are
+            return LaurentElt(self.ring, self.n, self._terms, hi, floor)
+        guard = _layout(self.n)[1]
+        terms = {}
+        for k, c in self._terms.items():
+            k += offset
+            if k & guard:
+                _refuse_index_range()
+            terms[k] = c
+        return LaurentElt(self.ring, self.n, terms, hi, floor)
 
     def partial(self, i):
         """d/dt_i, 1-based."""
-        e = _unit_vector(self.n, i)
+        s = (i - 1) * _STEP
+        guard = _layout(self.n)[1]
         raw = {}
-        for l, c in self.terms.items():
-            if l[i - 1] == 0:
+        for k, c in self._terms.items():
+            e = ((k >> s) & _MASK) - _MID
+            if e == 0:
                 continue
-            raw[_sub_idx(l, e)] = c * l[i - 1]
+            k -= 1 << s
+            if k & guard:
+                _refuse_index_range()
+            raw[k] = c * e
+        e = _unit_vector(self.n, i)
         hi = None if self.hi is None else _sub_idx(self.hi, e)
         floor = None if self.floor is None else _sub_idx(self.floor, e)
         return LaurentElt._make(self.ring, self.n, raw, hi, floor)
 
     def map_coefficients(self, new_ring, fn):
-        return LaurentElt(new_ring, self.n, {l: fn(c) for l, c in self.terms.items()},
+        return LaurentElt(new_ring, self.n, {k: fn(c) for k, c in self._terms.items()},
                           self.hi, self.floor)
 
     # -- predicates ---------------------------------------------------------------
@@ -295,9 +429,8 @@ class LaurentElt:
         A windowed element is judged on its stored terms: the expansions that
         accept one (log, exp, composition) certify the rest from its floor.
         """
-        zero_key = (0,) * self.n
-        return all(c.is_nilpotent() for l, c in self.terms.items()
-                   if lex_key(l) <= zero_key)
+        bias = _layout(self.n)[0]
+        return all(c.is_nilpotent() for k, c in self._terms.items() if k <= bias)
 
     # -- comparison / display --------------------------------------------------------
 
@@ -306,22 +439,25 @@ class LaurentElt:
             # a constant: compare the constant term, without building a series
             if isinstance(other, Coef):
                 self.ring.compatible(other.ring)
-            c = self.terms.get((0,) * self.n)
-            if self.hi is not None or self.floor is not None or len(self.terms) > (c is not None):
+            c = self._terms.get(_layout(self.n)[0])
+            if self.hi is not None or self.floor is not None or len(self._terms) > (c is not None):
                 return False
             return (self.ring.zero() if c is None else c) == other  # Coef.__eq__ coerces
         if not isinstance(other, LaurentElt):
             return NotImplemented
-        return (self.ring == other.ring and self.n == other.n and self.terms == other.terms
+        return (self.ring == other.ring and self.n == other.n and self._terms == other._terms
                 and self.hi == other.hi and self.floor == other.floor)
 
+    def _sorted_terms(self):
+        """``(index tuple, Coef)`` in the order of the indices."""
+        return [(_decode(k, self.n), self._terms[k]) for k in sorted(self._terms)]
+
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             body = "0"
         else:
             parts = []
-            for l in sorted(self.terms, key=lex_key):
-                c = self.terms[l]
+            for l, c in self._sorted_terms():
                 mono = "*".join(f"t{j + 1}^{e}" for j, e in enumerate(l) if e)
                 cs = str(c)
                 if "+" in cs or " " in cs:
@@ -337,14 +473,47 @@ class LaurentElt:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self):
-        terms = [{"exp": list(l), "coef": str(self.terms[l])}
-                 for l in sorted(self.terms, key=lex_key)]
+        terms = [{"exp": list(l), "coef": str(c)} for l, c in self._sorted_terms()]
         window = None
         if self.hi is not None:
             # the floor as it is, also where it lies above the ceiling
             lo = self.floor if self.floor is not None else self.support_lo() or (0,) * self.n
             window = {"lo": list(lo), "hi": list(self.hi)}
         return {"n": self.n, "terms": terms, "window": window}
+
+
+class SeriesTerms(Mapping):
+    """The ``terms`` of a :class:`LaurentElt`: ``{index tuple: Coef}``, read-only.
+
+    It stores nothing: each iteration decodes the series' packed keys and
+    each lookup packs the tuple it is given.
+    """
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series._terms)
+
+    def __iter__(self):
+        n = self._series.n
+        return (_decode(k, n) for k in self._series._terms)
+
+    def __getitem__(self, l):
+        series = self._series
+        try:
+            key = _pack(l) if len(l) == series.n else None
+        except TypeError:
+            key = None
+        c = series._terms.get(key)
+        if c is None:
+            raise KeyError(l)
+        return c
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 def _min_known(l, m):
@@ -376,24 +545,32 @@ def _numerators(c, den):
 
 
 def _flat(terms):
-    """A term dict over one denominator: ``(den, {index: numerators sorted by key})``."""
+    """A term dict over one denominator: ``(den, {key: numerators sorted by key})``."""
     den = math.lcm(*[c.den for c in terms.values()])
-    return den, {l: _numerators(c, den) for l, c in terms.items()}
+    return den, {k: _numerators(c, den) for k, c in terms.items()}
 
 
-def _flat_product(ring, a, b, hi, lo):
-    """The product of flat term dicts on the box ``lo <= l <= hi`` (``None``:
-    open side), as ``{index: {key: numerator}}`` over the operands' two
-    denominators multiplied."""
+def _flat_product(ring, n, a, b, hi, lo):
+    """The product of flat term dicts in n variables on the box ``lo <= l <=
+    hi``, given as the keys :func:`_hi_key` and :func:`_lo_key` make
+    (``None``: open side), as ``{key: {coef key: numerator}}`` over the
+    operands' two denominators multiplied.  A pair is one add and a guard
+    test, then the box; an index that leaves the key range is refused."""
+    bias, guard = _layout(n)
     acc = {}
-    for la, xa in a.items():
-        for lb, xb in b.items():
-            l = _add_idx(la, lb)
-            if (hi is not None and not _le_idx(l, hi)) or (lo is not None and not _le_idx(lo, l)):
+    get = acc.get
+    for ka, xa in a.items():
+        ka -= bias
+        for kb, xb in b.items():
+            k = ka + kb
+            if k & guard:
+                _refuse_index_range()
+            if (hi is not None and (hi - k) & guard != guard) or \
+                    (lo is not None and ((k | guard) - lo) & guard != guard):
                 continue
-            out = acc.get(l)
+            out = get(k)
             if out is None:
-                out = acc[l] = {}
+                out = acc[k] = {}
             mul_into(ring, out, xa, xb)
     return acc
 
@@ -431,24 +608,32 @@ def _carried(ring, acc, den):
     return den // g, power
 
 
-def _mul_terms(a, b, hi):
-    """Product of term dicts on ``l <= hi`` (``None``: everywhere), zeros dropped."""
+def _mul_terms(n, a, b, hi):
+    """Product of term dicts in n variables on ``l <= hi`` (``None``:
+    everywhere), zeros dropped."""
     if not a or not b:
         return {}
     ring = next(iter(a.values())).ring
     da, fa = _flat(a)
     db, fb = _flat(b)
-    return _coefs(ring, _flat_product(ring, fa, fb, hi, None), da * db)
+    top = None if hi is None else _hi_key(hi)
+    return _coefs(ring, _flat_product(ring, n, fa, fb, top, None), da * db)
 
 
 def product_coefficient(a: LaurentElt, b: LaurentElt, l):
     """The certified coefficient of ``a * b`` at ``l``, without forming the product."""
     l = tuple(l)
+    if len(l) != a.n:
+        raise ParseError(f"index {l} does not have {a.n} entries")
     if a.is_zero() or b.is_zero():
         return a.ring.zero()
     _refuse_outside(l, _combine_hi_mul(a, b))
-    pairs = [(ca, cb) for la, ca in a.terms.items()
-             if (cb := b.terms.get(_sub_idx(l, la))) is not None]
+    k = _pack(l)
+    if k is None:
+        _refuse_index_range()
+    k += _layout(a.n)[0]  # b's key at l - la is k - ka; an index out of range is no key
+    pairs = [(ca, cb) for ka, ca in a._terms.items()
+             if (cb := b._terms.get(k - ka)) is not None]
     if not pairs:
         return a.ring.zero()
     da = math.lcm(*[ca.den for ca, _ in pairs])
@@ -466,12 +651,12 @@ def zero(ring, n):
 
 
 def one(ring, n):
-    return LaurentElt(ring, n, {(0,) * n: ring.one()})
+    return LaurentElt(ring, n, {_layout(n)[0]: ring.one()})
 
 
 def monomial(ring, n, l, coef=1):
     c = coef if isinstance(coef, Coef) else ring.from_scalar(coef)
-    return LaurentElt._make(ring, n, {tuple(l): c})
+    return LaurentElt._make(ring, n, {_key_of(tuple(l), n): c})
 
 
 def t_var(ring, n, j):
@@ -482,23 +667,35 @@ def t_var(ring, n, j):
 
 
 def from_terms(ring, n, pairs, window=None):
+    """The series of ``(index, coefficient)`` pairs, exact or certified on
+    ``window``; an index of other than n entries, or outside the key range,
+    and a window that is not a box in n variables are parse errors."""
     raw = {}
     for l, c in pairs:
-        l = tuple(l)
-        if len(l) != n:
-            raise ParseError(f"index {l} does not have {n} entries")
+        k = _key_of(tuple(l), n)
         if not isinstance(c, Coef):
             c = ring.from_scalar(c)
         else:
             ring.compatible(c.ring)
-        cur = raw.get(l)
-        raw[l] = c if cur is None else cur + c
+        cur = raw.get(k)
+        raw[k] = c if cur is None else cur + c
     if window is None:
         return LaurentElt._make(ring, n, raw)
-    for l in raw:
-        if not _le_idx(window.lo, l):
-            raise ParseError(f"term at index {l} lies below the window floor {window.lo}")
-    return LaurentElt._make(ring, n, raw, tuple(window.hi), tuple(window.lo))
+    lo, hi = tuple(window.lo), tuple(window.hi)
+    _refuse_window_length(lo, hi, n)
+    floor, guard = _lo_key(lo), _layout(n)[1]
+    for k in raw:
+        if ((k | guard) - floor) & guard != guard:
+            raise ParseError(f"term at index {_decode(k, n)} lies below the window floor {lo}")
+    return LaurentElt._make(ring, n, raw, hi, lo)
+
+
+def _refuse_window_length(lo, hi, n):
+    """A window is a box in all n variables: a short one would certify
+    only its first coordinates."""
+    if len(lo) != n or len(hi) != n:
+        raise ParseError(f"a window of a series in {n} variables has lo and hi of {n} "
+                         f"entries, got {len(lo)} and {len(hi)}")
 
 
 # -- valuation and decomposition ---------------------------------------------------
@@ -520,21 +717,22 @@ def valuation(f: LaurentElt):
     """
     require_exact((f,), "valuation")
     f.ring.requires_connected()
-    if not f.terms:
+    if not f._terms:
         raise NotInvertibleError("the zero series is not invertible")
-    for l in sorted(f.terms, key=lex_key):
-        c = f.terms[l]
+    for k in sorted(f._terms):
+        c = f._terms[k]
         if c.is_invertible():
-            return l
+            return _decode(k, f.n)
         if not c.is_nilpotent():
             raise NotInvertibleError(
-                f"coefficient {c} at {l} is neither invertible nor nilpotent")
+                f"coefficient {c} at {_decode(k, f.n)} is neither invertible nor nilpotent")
     raise NotInvertibleError("no invertible coefficient; not a unit")
 
 
 def neg_part(f: LaurentElt):
-    return LaurentElt(f.ring, f.n,
-                      {l: c for l, c in f.terms.items() if lex_negative(l)}, f.hi, f.floor)
+    bias = _layout(f.n)[0]
+    return LaurentElt(f.ring, f.n, {k: c for k, c in f._terms.items() if k < bias},
+                      f.hi, f.floor)
 
 
 @dataclass
@@ -590,17 +788,20 @@ def _divide_neg_defect(d: LaurentElt, q: LaurentElt):
     factor with no polynomial description.
     """
     # the constant term of nonneg(q) clears r[lam] exactly; the others are lex-positive
-    p_pos = [(l, c) for l, c in q.terms.items() if lex_positive(l)]
+    bias, guard = _layout(d.n)
+    p_pos = [(k - bias, c) for k, c in q._terms.items() if k > bias]
     inv_cq = q.constant_coefficient().inverse()
     delta = {}
-    r = dict(d.terms)
+    r = dict(d._terms)
     for _ in range(_DIVISION_CAP):
-        lam = min(r, key=lex_key, default=None)
-        if lam is None or not lex_negative(lam):
+        lam = min(r, default=None)
+        if lam is None or lam >= bias:
             break
         coef = delta[lam] = r.pop(lam) * inv_cq
         for l, c in p_pos:
-            m = _add_idx(lam, l)
+            m = lam + l
+            if m & guard:
+                _refuse_index_range()
             v = r.get(m, 0) - coef * c
             if v:
                 r[m] = v
@@ -634,7 +835,7 @@ def decompose(f: LaurentElt) -> UnitDecomposition:
     for _ in range(ring.nil_index.bit_length() + 3):
         q = g * inv_v_minus
         d = neg_part(q)
-        if not d.terms:
+        if not d._terms:
             break
         delta = _divide_neg_defect(d, q)
         v_minus = v_minus * (unit + delta)
@@ -660,13 +861,18 @@ def _generator_parts(g: LaurentElt):
     expand, as the expansion itself would: ``NotSharpError`` unless ``g`` is
     additively sharp.
     """
-    unit_idx = []
-    nil_idx = []
-    for l, c in g.terms.items():
-        (nil_idx if c.is_nilpotent() else unit_idx).append(l)
-    zero_key = (0,) * g.n
-    if any(lex_key(l) <= zero_key for l in unit_idx):
-        raise NotSharpError(f"expansion generator {g} is not additively sharp")
+    unit_idx, nil_idx, costs = [], [], {}
+    bias = _layout(g.n)[0]
+    for k, c in g._terms.items():
+        l = _decode(k, g.n)
+        if not c.is_nilpotent():
+            if k <= bias:
+                raise NotSharpError(f"expansion generator {g} is not additively sharp")
+            unit_idx.append(l)
+            continue
+        nil_idx.append(l)
+        if min(l) < 0:
+            costs[l] = _nil_cost(g.ring, c)
     if g.hi is not None and any(x < 0 for x in g.floor):
         raise StabilityExhaustedError(
             "cannot expand over a windowed generator with negative support floor")
@@ -674,7 +880,6 @@ def _generator_parts(g: LaurentElt):
         raise StabilityExhaustedError(
             "expansion generator has a unit coefficient in a mixed lex direction; "
             "its tail cannot be captured by any box window")
-    costs = {l: _nil_cost(g.ring, g.terms[l]) for l in nil_idx if min(l) < 0}
     floor = tuple(-_nil_depth(g.ring, [(-l[j], costs[l]) for l in costs if l[j] < 0])
                   for j in range(g.n))
     return unit_idx, nil_idx, floor
@@ -753,6 +958,7 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
     """
     ring = g.ring
     n = g.n
+    bias, guard = _layout(n)
     unit_idx, nil_idx, work_lo = parts if parts is not None else _generator_parts(g)
     hi = None if window is None else tuple(window.hi)
     if g.hi is not None:
@@ -791,18 +997,23 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
         c = coeff_at(i)
         return c if isinstance(c, Coef) else ring.from_scalar(c)
 
-    g_den, g_flat = _flat(g.terms)
+    g_den, g_flat = _flat(g._terms)
     acc_den, acc = 1, {}
-    den, p = 1, {(0,) * n: [(ring._bias, 1)]}  # g^0
-    top, bottom = work_hi, work_lo
+    den, p = 1, {bias: [(ring._bias, 1)]}  # g^0
+    # the boxes as packed bound keys (None: open side)
+    work_top = top = None if work_hi is None else _hi_key(work_hi)
+    work_bottom = bottom = None if work_lo is None else _lo_key(work_lo)
+    box = None if exact else _hi_key(hi)
+    band_key = None if band is None else _lo_key(band)
     for i in range(budget + 1):
         if i:
             if cut:
-                top = _min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)])
+                top = _hi_key(_min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)]))
                 if band is not None and budget - i <= near:
-                    bottom = tuple(max(w, b - (budget - i) * d)
-                                   for w, b, d in zip(work_lo, band, pos))
-            den, p = _carried(ring, _flat_product(ring, p, g_flat, top, bottom), den * g_den)
+                    bottom = _lo_key(tuple(max(w, b - (budget - i) * d)
+                                           for w, b, d in zip(work_lo, band, pos)))
+            den, p = _carried(ring, _flat_product(ring, n, p, g_flat, top, bottom),
+                              den * g_den)
             if not p:
                 break
         s = scalar_at(i)
@@ -819,12 +1030,13 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
             acc_den = lcm
         f = lcm // (s.den * den)
         xs = sorted((k, v * f) for k, v in s._mono.items())
-        for l, xp in p.items():
-            if exact or (_le_idx(l, hi) and (band is None or _le_idx(band, l))):
-                mul_into(ring, acc.setdefault(l, {}), xp, xs)
+        for k, xp in p.items():
+            if exact or ((box - k) & guard == guard
+                         and (band_key is None or ((k | guard) - band_key) & guard == guard)):
+                mul_into(ring, acc.setdefault(k, {}), xp, xs)
     # an exact or clipped sum is complete only once the next power leaves the box
     if (exact or clipped) and _carried(
-            ring, _flat_product(ring, p, g_flat, work_hi, work_lo), den * g_den)[1]:
+            ring, _flat_product(ring, n, p, g_flat, work_top, work_bottom), den * g_den)[1]:
         raise StabilityExhaustedError(
             "series coefficients exhausted before the expansion terminated")
     return LaurentElt._make(ring, n, _coefs(ring, acc, acc_den), None if exact else tuple(hi),
@@ -976,7 +1188,8 @@ def series_from_json(ring: Ring, doc) -> LaurentElt:
     win = None
     if window is not None:
         lo, hi = _box_from_json(window)
-        if not pairs and len(lo) == len(hi):
+        _refuse_window_length(lo, hi, n)
+        if not pairs:
             return LaurentElt(ring, n, {}, hi, lo)
         win = Window(lo, hi)
     return from_terms(ring, n, pairs, win)

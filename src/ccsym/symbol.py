@@ -147,7 +147,7 @@ def cc(entries, want_trace=False):
     require_exact(entries, "cc")
     splits = [_unit_split(f) for f in entries]
     nus = [nu for nu, _, _ in splits]
-    idx = [i for i, (_, _, g) in enumerate(splits) if len(g.terms) > 1]  # S != 1
+    idx = [i for i, (_, _, g) in enumerate(splits) if len(g._terms) > 1]  # S != 1
     subsets = []
     for mask in range(1, 1 << len(idx)):
         t_set = {idx[b] for b in range(len(idx)) if mask >> b & 1}
@@ -291,7 +291,7 @@ def tame_symbol(f: LaurentElt, g: LaurentElt) -> Coef:
     require_exact((f, g), "tame")
     a = valuation(f)[0]
     b = valuation(g)[0]
-    lead_f = f.terms[(a,)]
-    lead_g = g.terms[(b,)]
+    lead_f = f.coefficient((a,))
+    lead_g = g.coefficient((b,))
     sign = ring.from_scalar(-1 if (a * b) % 2 else 1)
     return sign * lead_f ** b * lead_g ** (-a)

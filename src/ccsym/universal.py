@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coeff import RingSpec, ring_new
 from .errors import InternalConsistencyError, NotSharpError, ParseError
-from .laurent import Window, from_terms, require_exact, t_var
+from .laurent import Window, _decode, from_terms, require_exact, t_var
 from .symbol import cc
 
 __all__ = [
@@ -182,12 +182,15 @@ def evaluate_phi(key: PhiKey, gs):
     if n != key.n:
         raise ParseError("variable count does not match the key")
     require_exact(gs, "evaluate_phi")
-    for g in gs:
-        for l, c in g.terms.items():
+    coefs = {}  # each coefficient of each g_i by (slot, exponent), as the series reads it
+    for i, g in enumerate(gs, 1):
+        for k, c in g._terms.items():
+            l = _decode(k, n)
             if not c.is_nilpotent():
                 raise NotSharpError(f"coefficient {c} at {l} is not nilpotent")
+            coefs[(i, l)] = c
     degree = max(1, ring.nil_index - 1)
-    pairs = tuple(sorted((i + 1, l) for i, g in enumerate(gs) for l in g.terms))
+    pairs = tuple(sorted(coefs))
     cache_key = (key, degree, pairs)
     if cache_key not in _PHI_CACHE:
         if len(_PHI_CACHE) >= _PHI_CACHE_SIZE:
@@ -201,8 +204,8 @@ def evaluate_phi(key: PhiKey, gs):
             raise InternalConsistencyError(
                 f"universal coefficient {coefficient} at {mono} is not integral")
         term = ring.from_scalar(int(coefficient))
-        for (i, l), e in mono:
-            term = term * gs[i - 1].terms.get(l, ring.zero()) ** e
+        for pair, e in mono:
+            term = term * coefs[pair] ** e
             if not term:
                 break
         value = value + term

@@ -118,10 +118,10 @@ def _divide(value, k):
     if isinstance(value, LaurentElt):
         out = {}
         integral = True
-        for l, c in value.terms.items():
+        for key, c in value._terms.items():
             q, ok = c.divide_by_int(k)
             integral = integral and ok
-            out[l] = q
+            out[key] = q
         return LaurentElt._make(value.ring, value.n, out, value.hi, value.floor), integral
     raise ParseError(f"cannot divide {value!r}")
 
@@ -198,8 +198,7 @@ def upsilon(w: WittVector, degree_bound=None) -> LaurentElt:
     for i in sorted(w.S):
         out = out * (monomial(ring, 1, (0,)) - monomial(ring, 1, (i,), w.coords[i]))
     if degree_bound is not None:
-        terms = {l: c for l, c in out.terms.items() if l[0] <= degree_bound}
-        out = LaurentElt._make(ring, 1, terms, (degree_bound,), (0,))
+        out = LaurentElt._make(ring, 1, out._terms, (degree_bound,), (0,))
     return out
 
 

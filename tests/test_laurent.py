@@ -401,3 +401,15 @@ def test_equality_with_a_constant_keeps_its_answers_and_errors():
                 seen.append(want)
     assert seen.count(True) >= 15 and RingMismatchError in seen
     assert {(Z, Fraction(1, 2)), (Z9, Fraction(1, 3))} <= set(unheld)
+
+
+def test_a_window_of_other_than_n_entries_is_refused(Q):
+    """A short window would certify only its first coordinates."""
+    term = [{"exp": [-1, -1], "coef": "1"}]
+    for window in ({"lo": [-3], "hi": [1]}, {"lo": [-3, -3], "hi": [1]},
+                   {"lo": [-3, -3, -3], "hi": [1, 1, 1]}):
+        for terms in (term, []):
+            with pytest.raises(ParseError, match="lo and hi of 2 entries, got"):
+                series_from_json(Q, {"n": 2, "terms": terms, "window": window})
+    with pytest.raises(ParseError, match="got 1 and 1"):
+        from_terms(Q, 2, [((-1, -1), 1)], Window((-3,), (1,)))
