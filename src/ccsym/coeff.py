@@ -721,16 +721,15 @@ class Coef:
 
     def inverse(self):
         """The inverse of a unit ``(a0 + A) / D``, ``a0`` its constant numerator
-        and ``A`` the nilpotent rest: ``D / a0`` times the geometric series of
-        ``w = A / a0``, summed by :func:`_nil_series` (``a0^-1`` is the
-        inverse mod m over Z/m)."""
+        and ``A`` the nilpotent rest: ``sum (-1)^i * D / a0^(i + 1) * A^i``,
+        summed by :func:`_nil_series` over the numerators of ``A`` (each
+        weight is a ring scalar: ``a0^-1`` is the inverse mod m over Z/m)."""
         if not self.is_invertible():
             raise NotInvertibleError(f"{self} is not invertible")
         ring, bias = self.ring, self.ring._bias
-        a0 = self._mono[bias]
-        w = Coef(ring, {k: v for k, v in self._mono.items() if k != bias})
-        w = w._scaled(ring.scalar(Fraction(1, a0)))
-        return _nil_series(w, geometric_coefficient)._scaled(ring.scalar(Fraction(self.den, a0)))
+        a0, den = self._mono[bias], self.den
+        rest = Coef(ring, {k: v for k, v in self._mono.items() if k != bias})
+        return _nil_series(rest, lambda i: ring.scalar(Fraction((-1) ** i * den, a0 ** (i + 1))))
 
     # -- exp / log -----------------------------------------------------------
 

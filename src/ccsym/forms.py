@@ -35,6 +35,7 @@ from .laurent import (
     Window,
     _Sharp,
     _add_idx,
+    _ceiling,
     _le_idx,
     _min_idx,
     _sub_idx,
@@ -181,22 +182,16 @@ def dlog(f: LaurentElt, window: Window = None) -> DiffForm:
     """d(f)/f as a degree-1 form, computed factorwise on the unit splitting.
 
     The monomial factor contributes the exact ``nu_j dt_j / t_j``; the
-    constant drops out; the sharp factor contributes ``d(S) * S^{-1}`` under
-    the window protocol (exact when the inverse terminates by nilpotency).
-    ``S`` is formed here, so its record is ``_Sharp(S, 1)``: no weights.
+    constant drops out; the sharp factor ``S = 1 + h`` contributes
+    ``d(h) * S^{-1}``, its inverse certified up to ``window.hi`` (exact when
+    it terminates by nilpotency).  ``S`` is formed here, so its record is
+    ``_Sharp(S, 1)``: no weights.
     """
     nu, _, s = coarse_split(f)
-    return _dlog_form(f.ring, f.n, nu, _Sharp(s, f.ring.one()) if s != 1 else None, window)
-
-
-def _dlog_form(ring, n, nu, sharp, window, band=None):
-    """``dlog(t^nu g) = dlog t^nu + d(h) * g^-1`` for the split record
-    ``sharp`` of ``g = c + h`` (``None``: ``g`` constant): ``d(g) = d(h)``,
-    and the record's inverse is ``1 / g``, weighted by ``c^-(i + 1)`` or,
-    for the public :func:`dlog`'s ``_Sharp(S, 1)``, not at all."""
-    out = dlog_monomial(ring, n, nu)
-    if sharp is not None:
-        out = out + d(sharp.h).scale(sharp.inverse(window, band))
+    out = dlog_monomial(f.ring, f.n, nu)
+    if s != 1:
+        sharp = _Sharp(s, f.ring.one())
+        out = out + d(sharp.h).scale(sharp.inverse(_ceiling(window)))
     return out
 
 
@@ -260,70 +255,59 @@ def _sign(perm):
 class _Factor:
     """One factor of a residue, described before anything is expanded.
 
-    ``floors`` maps each nonzero component (``()`` of a 0-form, ``(i,)`` for
-    ``dt_i``) to its certified floor.  The factor's expansion is a log or an
-    inverse, planned here off its split record ``sharp`` (``laurent._Sharp``),
-    which expands it in :attr:`form`: the record a ``Log`` or ``Dlog`` holds,
-    or ``_Sharp(s, 1)`` of a ``Log(s)``'s series, or the record of the
-    ``t^-nu f`` a ``Dlog(f)`` splits off (none when its sharp part is 1).
-    ``parts`` are its ``_generator_parts``, ``low`` the expansion's floor
-    (for a log, the tighter :func:`_log_floor`), and ``windowed`` whether it
-    is windowed (and so cut at its band) or exact.  ``inner`` maps the
-    components holding it to the floor and the top of what multiplies it
-    there; ``need`` gathers the ceiling it must reach and ``band`` the
-    lowest index a read of it reaches.  ``his`` are the ceilings of a
-    windowed input.
+    Each component ``idx`` (``()`` of a 0-form, ``(i,)`` for ``dt_i``) is a
+    given part, ``given[idx]``, plus, where the factor's expansion sits
+    (``idx in inner``), an exact multiplier times that expansion.  A series
+    or form is all given parts; a ``Log`` is ``log S`` times 1; a ``Dlog`` is
+    given the ``nu_j dt_j / t_j`` of :func:`dlog_monomial` and holds ``1 / g``
+    times ``d_j h`` at each ``dt_j``.  The expansion is planned off the split
+    record ``sharp`` (``laurent._Sharp``), whose ``expand`` (its ``log`` or
+    ``inverse``) computes it in :attr:`form`: the record a ``Log`` or
+    ``Dlog`` holds, ``_Sharp(s, 1)`` of a ``Log(s)``'s series, or the record
+    of the ``t^-nu f`` a ``Dlog(f)`` splits off (none when its sharp part is
+    1).  ``low`` is the expansion's floor (for a log, the tighter
+    :func:`_log_floor`), and ``windowed`` whether it is windowed (and so cut
+    at its band) or exact.  ``inner`` maps each component holding it to the
+    floor and the top of the multiplier there; ``need`` gathers the ceiling
+    it must reach and ``band`` the lowest index a read of it reaches.
+    ``floors`` maps each nonzero component to its certified floor; ``his``
+    are the ceilings of the windowed given parts.
     """
 
     def __init__(self, x):
-        self.source, self.inner, self.his = x, {}, {}
-        self.parts = self.low = self.need = self.band = None
-        self.windowed = False
+        self.source, self.need, self.band, self.low, self.windowed = x, None, None, None, False
+        given, inner, sharp = {}, {}, None
         if isinstance(x, Log):
             sharp = x.s if isinstance(x.s, _Sharp) else _Sharp(x.s, x.s.ring.one())
-            s, self.degree = sharp.g, 0
+            of, self.degree, self.expand, self.windowed = sharp.g, 0, sharp.log, True
+            self.low = _log_floor(sharp.h, sharp.parts[2])
+            inner[()] = ((0,) * of.n,) * 2
         elif isinstance(x, Dlog):
-            self.degree, sharp = 1, x.f
+            sharp, self.degree = x.f, 1
             if isinstance(sharp, _Sharp):
-                self.nu, s = (0,) * sharp.g.n, sharp.g  # g = t^-nu f: valuation 0
+                of = sharp.g  # g = t^-nu f: valuation 0
             else:
-                self.nu, c, s = _unit_split(sharp)  # split once, never divided by c
-                sharp = _Sharp(s, c) if len(s._terms) > 1 else None  # S != 1
-            self.floors = self._monomial_floors()
+                nu, c, of = _unit_split(sharp)  # split once, never divided by c
+                given = dlog_monomial(of.ring, of.n, nu).comps
+                sharp = _Sharp(of, c) if len(of._terms) > 1 else None  # S != 1
+            if sharp is not None:
+                unit, nil, self.low = sharp.parts
+                self.expand, self.windowed = sharp.inverse, bool(unit)  # else it terminates
+                for j in range(1, of.n + 1):  # the support of d_j h, off the terms of h
+                    e = _unit_vector(of.n, j)
+                    support = [_sub_idx(l, e) for l in unit + nil if l[j - 1]]
+                    if support:
+                        coords = list(zip(*support))
+                        inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
         else:
-            s = self.form = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
-            self.degree, sharp = s.degree, None
-            self.floors = {}
-            for idx, part in s.comps.items():
-                self.floors[idx] = part._floor() or (0,) * s.n
-                if part.hi is not None:
-                    self.his[idx] = part.hi
-        self.ring, self.n, self.sharp = s.ring, s.n, sharp
-        if sharp is None:
-            return
-        n, self.parts, self.low = s.n, sharp.parts, sharp.parts[2]
-        if self.degree == 0:
-            self.windowed = True
-            self.low = _log_floor(sharp.h, self.low)
-            self.inner[()] = ((0,) * n,) * 2
-            self.floors = {(): self.low}
-            return
-        self.windowed = bool(self.parts[0])  # else it terminates by nilpotency
-        indices = self.parts[0] + self.parts[1]  # those of h: g's but its constant
-        for j in range(1, n + 1):  # the support of d(h) = d(g)
-            e = _unit_vector(n, j)
-            support = [_sub_idx(l, e) for l in indices if l[j - 1]]
-            if support:
-                coords = list(zip(*support))
-                self.inner[(j,)] = (tuple(map(min, coords)), tuple(map(max, coords)))
-        for idx, (lo, _) in self.inner.items():
+            of = DiffForm.from_series(x) if isinstance(x, LaurentElt) else x
+            self.degree, given = of.degree, of.comps
+        self.ring, self.n, self.sharp, self.given, self.inner = of.ring, of.n, sharp, given, inner
+        self.floors = {idx: part._floor() or (0,) * self.n for idx, part in given.items()}
+        self.his = {idx: part.hi for idx, part in given.items() if part.hi is not None}
+        for idx, (lo, _) in inner.items():
             lo = _add_idx(lo, self.low)
             self.floors[idx] = _min_idx(self.floors.get(idx, lo), lo)
-
-    def _monomial_floors(self):
-        """The floor ``-e_j`` of each ``nu_j dt_j / t_j`` of a ``Dlog``."""
-        n = len(self.nu)
-        return {(j,): _unit_vector(n, j, -1) for j in range(1, n + 1) if self.nu[j - 1]}
 
     @property
     def ceiling(self):
@@ -332,26 +316,19 @@ class _Factor:
     @cached_property
     def tops(self):
         """The top of each component's stored terms, read once ``need`` is
-        fixed: the support maximum of a given exact component, the ceiling of
-        a given windowed one, ``-e_j`` for the ``dt_j / t_j`` of a monomial,
-        and where the expansion sits, the top of what multiplies it plus the
-        expansion's own.  That is its ceiling when it is windowed.  An
-        inverse that terminates by nilpotency is exact, a sum of products of
-        nilpotent terms; it enters only multiplied by ``d_j h``, whose
-        coefficients are nilpotent too, so at most ``nil_index - 2`` of them
-        survive."""
-        if isinstance(self.source, Log):
-            tops = {}
-        elif isinstance(self.source, Dlog):
-            tops = {(j,): _unit_vector(self.n, j, -1)
-                    for j in range(1, self.n + 1) if self.nu[j - 1]}
-        else:
-            return {idx: part.hi if part.hi is not None else part._support(max)
-                    for idx, part in self.form.comps.items()}
+        fixed: that of its given part (the ceiling of a windowed one, else
+        its support maximum), and where the expansion sits, the top of the
+        multiplier plus the expansion's own.  That is its ceiling when it is
+        windowed.  An inverse that terminates by nilpotency is exact, a sum
+        of products of nilpotent terms; it enters only multiplied by
+        ``d_j h``, whose coefficients are nilpotent too, so at most
+        ``nil_index - 2`` of them survive."""
+        tops = {idx: part.hi if part.hi is not None else part._support(max)
+                for idx, part in self.given.items()}
         if self.inner:
             depth = self.ring.nil_index - 2  # a nilpotent term of h exists: nil_index >= 2
             reach = self.ceiling if self.windowed else tuple(
-                depth * max((max(0, l[j]) for l in self.parts[1]), default=0)
+                depth * max((max(0, l[j]) for l in self.sharp.parts[1]), default=0)
                 for j in range(self.n))
             for idx, (_, top) in self.inner.items():
                 tops[idx] = _max_idx(tops.get(idx), _add_idx(top, reach))
@@ -359,20 +336,21 @@ class _Factor:
 
     @cached_property
     def form(self):
-        """The factor as a form, its expansion certified up to its ceiling
-        and banded: exact from ``band`` up only, so it never leaves here.
-        A log carries the floor the planner read, :func:`_log_floor`.  The
-        record expands ``log S`` and ``1 / g`` from ``h``, and a ``Dlog`` is
-        ``dlog t^nu + d(h) * g^-1``."""
-        hi, band = self.ceiling, self.band
-        if band is not None and _le_idx(band, self.low):
-            band = None  # the expansion holds nothing below its floor: no cut
-        sharp = self.sharp
-        window = None if sharp is None else Window(_min_idx(self.low, hi), hi)
-        if isinstance(self.source, Log):
-            log = sharp.log(window, band)
-            return DiffForm.from_series(LaurentElt(log.ring, log.n, log._terms, log.hi, self.low))
-        return _dlog_form(self.ring, self.n, self.nu, sharp, window, band)
+        """The factor as a form: each given part plus, where the expansion
+        sits, the multiplier times the expansion, which the record computes
+        from ``h`` up to its ceiling and banded: exact from ``band`` up only,
+        so it never leaves here.  A windowed expansion carries the floor the
+        planner read.  ``d_j h`` is formed here only."""
+        comps = dict(self.given)
+        if self.sharp is not None:
+            band = self.band  # the expansion holds nothing below its floor: no cut there
+            e = self.expand(self.ceiling, None if band and _le_idx(band, self.low) else band)
+            if e.hi is not None:
+                e = LaurentElt(self.ring, self.n, e._terms, e.hi, self.low)
+            for idx in self.inner:  # the multiplier: 1 at (), d_j h at dt_j
+                term = self.sharp.h.partial(*idx) * e if idx else e
+                comps[idx] = comps[idx] + term if idx in comps else term
+        return DiffForm._make(self.ring, self.n, self.degree, comps)
 
 
 def _partial(chain, products):
@@ -414,11 +392,11 @@ def certified_residues(terms):
        some coordinate is zero: it is dropped, and sets nothing below;
     2. ceilings: an expansion must reach the target minus the floors of the
        other factors, in every live summand it enters;
-    3. bands: with every ceiling fixed, each component has a top (its
-       support maximum or ceiling, or for a ``Dlog`` that of ``d(s)`` plus
-       that of the inverse), and an expansion is read no lower than the
-       target minus the tops of the other factors and of what multiplies it
-       inside, in every live summand it enters;
+    3. bands: with every ceiling fixed, each component has a top (that of
+       its given part, or the top of the multiplier plus the expansion's),
+       and an expansion is read no lower than the target minus the tops of
+       the other factors and of its multiplier, in every live summand it
+       enters;
     4. lazy chains: each live summand multiplies the log component by the
        middle components in turn, each prefix once per batch, and reads the
        last product at the target only; a chain stops at a prefix that holds

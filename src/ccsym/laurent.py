@@ -922,19 +922,21 @@ def _nil_depth(ring, items):
     return best
 
 
-def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=False,
+def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=False,
                    band=None, parts=None):
-    """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= window.hi}``.
+    """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= hi}``.
 
     Non-nilpotent monomials of ``g`` must be lex-positive and componentwise
     nonnegative; their count inside any window is then bounded, nilpotent
     factors are bounded by the ring's nil index, and the partial products are
     evaluated on a padded work box that provably loses nothing below the
-    ceiling.  A generator with no unit coefficient terminates by nilpotency
-    alone: without a window (or with ``keep_exact``) its sum is exact, under
-    one it is windowed with ``hi`` and the expansion floor.  ``coeff_at(i)``
-    is a scalar or a ``Coef``; ``parts``, when given, are
-    ``_generator_parts(g)``, computed once by the caller.
+    ceiling.  The ceiling ``hi`` is an index tuple, or None for none: no
+    expansion reads a window's ``lo``.  A generator with no unit coefficient
+    terminates by nilpotency alone: without a ceiling (or with
+    ``keep_exact``) its sum is exact, under one it is windowed with ``hi``
+    and the expansion floor.  ``coeff_at(i)`` is a scalar or a ``Coef``;
+    ``parts``, when given, are ``_generator_parts(g)``, computed once by the
+    caller.
 
     Under a ceiling, ``g^i`` is cut at the highest index from which the
     ``budget - i`` factors still to come can bring a term back to ``hi``:
@@ -960,7 +962,6 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
     n = g.n
     bias, guard = _layout(n)
     unit_idx, nil_idx, work_lo = parts if parts is not None else _generator_parts(g)
-    hi = None if window is None else tuple(window.hi)
     if g.hi is not None:
         hi = g.hi if hi is None else _min_idx(hi, g.hi)
     a_budget = ring.nil_index - 1
@@ -1039,7 +1040,7 @@ def _expand_series(g: LaurentElt, coeff_at, window, max_degree=None, keep_exact=
             ring, _flat_product(ring, n, p, g_flat, work_top, work_bottom), den * g_den)[1]:
         raise StabilityExhaustedError(
             "series coefficients exhausted before the expansion terminated")
-    return LaurentElt._make(ring, n, _coefs(ring, acc, acc_den), None if exact else tuple(hi),
+    return LaurentElt._make(ring, n, _coefs(ring, acc, acc_den), None if exact else hi,
                             work_lo)
 
 
@@ -1086,18 +1087,23 @@ class _Sharp:
 
         return weighted
 
-    def log(self, window, band=None):
+    def log(self, hi, band=None):
         """``log(g / c) = sum log_coefficient(i) * c^-i * h^i`` (see
-        :func:`_expand_series`): windowed under a ceiling, also where it
-        terminates."""
-        return _expand_series(self.h, self._weighted(log_coefficient, 0), window,
+        :func:`_expand_series`) up to the ceiling ``hi``: windowed under a
+        ceiling, also where it terminates."""
+        return _expand_series(self.h, self._weighted(log_coefficient, 0), hi,
                               band=band, parts=self.parts)
 
-    def inverse(self, window, band=None):
-        """``1 / g = sum (-1)^i * c^-(i + 1) * h^i``: exact where it
-        terminates by nilpotency, window or not."""
-        return _expand_series(self.h, self._weighted(geometric_coefficient, 1), window,
+    def inverse(self, hi, band=None):
+        """``1 / g = sum (-1)^i * c^-(i + 1) * h^i`` up to the ceiling
+        ``hi``: exact where it terminates by nilpotency, ceiling or not."""
+        return _expand_series(self.h, self._weighted(geometric_coefficient, 1), hi,
                               keep_exact=True, band=band, parts=self.parts)
+
+
+def _ceiling(window):
+    """The ceiling ``window.hi`` of a public expansion (None: no window)."""
+    return None if window is None else tuple(window.hi)
 
 
 def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -1109,10 +1115,9 @@ def invert(f: LaurentElt, window: Window = None) -> LaurentElt:
     under the certified window protocol.
     """
     nu, c, g = _unit_split(f)
-    if window is not None and any(nu):
-        # a plan concerns a sharp part, whose monomial factor is 1
-        window = Window(_add_idx(window.lo, nu), _add_idx(window.hi, nu))
-    return _Sharp(g, c).inverse(window).shift(tuple(-x for x in nu))
+    # a ceiling concerns the sharp part, whose monomial factor is 1
+    hi = None if window is None else _add_idx(window.hi, nu)
+    return _Sharp(g, c).inverse(hi).shift(tuple(-x for x in nu))
 
 
 def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
@@ -1124,19 +1129,19 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
     """
     if not f.ring.has_rationals():
         raise UnsupportedRingError("log needs rational coefficients")
-    return _Sharp(f, f.ring.one()).log(window)
+    return _Sharp(f, f.ring.one()).log(_ceiling(window))
 
 
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    return _expand_series(g, exp_coefficient, window)
+    return _expand_series(g, exp_coefficient, _ceiling(window))
 
 
 def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
     """phi(f) for a univariate power series phi given by its coefficients."""
     coeffs = list(phi_coeffs)
-    return _expand_series(f, lambda i: coeffs[i], window, max_degree=len(coeffs) - 1)
+    return _expand_series(f, lambda i: coeffs[i], _ceiling(window), max_degree=len(coeffs) - 1)
 
 
 # -- the stability protocol -----------------------------------------------------------

@@ -29,6 +29,8 @@ form over a field.
 
 from __future__ import annotations
 
+import math
+
 from .coeff import Coef
 from .errors import InternalConsistencyError, ParseError, UnsupportedRingError
 from .forms import Dlog, Log, certified_residue, certified_residues, d, dlog_monomial
@@ -125,11 +127,17 @@ def steinberg_det_check(entries):
 
 # -- the symbol -------------------------------------------------------------------
 
+# Python's default limit on the digits of an int written as a string: no
+# response can print a constant slot's power past it
+_POWER_DIGITS = 4300
+
+
 def cc(entries, want_trace=False):
     """The multilinear antisymmetric symbol of n+1 invertible series.
 
     Requires rational coefficients whenever a sharp (exp-res) branch
     contributes; purely monomial/constant inputs evaluate over any base.
+    Constant powers whose scalars would pass ``_POWER_DIGITS`` digits are refused.
     No sharp factor ``S = t^-nu f c^-1`` is formed: a slot an exp-res subset
     reads enters the residues as the split record of ``t^-nu f`` and ``c``,
     as ``Log(record)`` and ``Dlog(record)``, and its ``c^-1`` is computed at
@@ -163,7 +171,7 @@ def cc(entries, want_trace=False):
     sharps = {j: _Sharp(splits[j][2], splits[j][1]) for j in set().union(*subsets)}
 
     trace = [] if want_trace else None  # its strings are built only on request
-    value = ring.one()
+    value, digits = ring.one(), 0
 
     s = sgn_vf(*nus)
     if s:
@@ -178,6 +186,12 @@ def cc(entries, want_trace=False):
         if dt == 0:
             continue
         exponent = dt if i % 2 == 0 else -dt
+        if ring.base != "mod":  # modular powers stay small, and those of +-1 add 0 digits
+            p = c.constant_scalar()
+            digits += abs(exponent) * math.log10(max(abs(p.numerator), p.denominator))
+            if digits > _POWER_DIGITS:
+                raise UnsupportedRingError(f"constant slot {i + 1}: ({c})^{exponent} takes the "
+                                           f"constant powers past {_POWER_DIGITS} digits")
         if exponent > 0:
             value = value * c ** exponent
         else:

@@ -132,7 +132,7 @@ def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
     e = Qe.gen("e")
     f1 = from_terms(Qe, 1, [((1,), 1), ((2,), 1)])
     f2 = from_terms(Qe, 1, [((1,), 1), ((0,), e)])
-    made, windows = [], {}
+    made, ceilings = [], {}
 
     class Recorded(forms._Factor):
         def __init__(self, x):
@@ -141,15 +141,15 @@ def test_each_log_expands_at_its_own_ceiling(Qe, monkeypatch):
 
     log = laurent._Sharp.log
 
-    def recorded(sharp, window, *args, **kw):
-        windows[id(sharp)] = window.hi
-        return log(sharp, window, *args, **kw)
+    def recorded(sharp, hi, *args, **kw):
+        ceilings[id(sharp)] = hi
+        return log(sharp, hi, *args, **kw)
 
     monkeypatch.setattr(forms, "_Factor", Recorded)
     monkeypatch.setattr(laurent._Sharp, "log", recorded)
     value, trace = cc([f1, f2], want_trace=True)
     needs = {id(f.sharp): f.need for f in made if isinstance(f.source, Log)}
-    assert windows == needs and sorted(needs.values()) == [(0,), (2,)]
+    assert ceilings == needs and sorted(needs.values()) == [(0,), (2,)]
     assert str(value) == "1*e^1 + -1"
     assert trace == ["monomial: (-1)^1", "sharp slots [1, 2]: exp(res) with res = -1*e^1"]
 

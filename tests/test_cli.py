@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ccsym.checks import SUITES
 from ccsym.cli import main
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.laurent import series_from_json
@@ -404,3 +405,43 @@ def test_a_malformed_nil_generator_is_a_parse_error(nil, detail):
                          "tuple": [t, t]})
     assert code == 1 and out["error"]["kind"] == "ParseError"
     assert out["error"]["detail"] == detail
+
+
+def _constant_power(k, constant="2", ring=None):
+    """``cc(t1^k, t2^k, c)``: the constant slot's exponent is ``k^2``."""
+    return {"command": "cc", "ring": ring or {"base": "Q"}, "n": 2,
+            "tuple": [series(2, [((k, 0), "1")]), series(2, [((0, k), "1")]),
+                      series(2, [((0, 0), constant)])]}
+
+
+def test_a_constant_power_past_the_printable_digits_is_refused():
+    # 2^10000 has 3011 digits; 2^14400 would have 4335, past the 4300 an int
+    # prints with by default, and is refused before it is computed, where it
+    # was computed and then failed to print as a ParseError with exit 1
+    code, out = run_cli(_constant_power(100))
+    assert code == 0 and len(out["value"]) == 3011
+    code, out = run_cli(_constant_power(120))
+    assert code == 2 and out["error"]["kind"] == "UnsupportedRing"
+    assert out["error"]["detail"].startswith("constant slot 3: (2)^14400 ")
+
+
+@pytest.mark.parametrize("ring, constant, value", [
+    ({"base": "Q"}, "-1", "1"),
+    ({"base": "Q", "nil": [["e", 2]]}, "-1 + e", "-360000*e^1 + 1"),
+    ({"base": {"mod": 7}}, "3", "1"),
+], ids=["minus_one", "minus_one_plus_nilpotent", "mod_7"])
+def test_a_constant_of_bounded_powers_keeps_any_exponent(ring, constant, value):
+    # (-1)^360000, (-1 + e)^360000 = 1 - 360000 e and 3^360000 = 1 mod 7
+    code, out = run_cli(_constant_power(600, constant, ring))
+    assert code == 0 and out["value"] == value
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_check_suite_passes_through_the_cli(suite, n):
+    # the small sizes each suite takes: 3 trials, phi to degree 2 on the
+    # radius-1 cube, 50 sign samples
+    doc = {"command": "check", "suite": suite, "n": n, "trials": 3, "seed": 0,
+           "degree": 2, "radius": 1, "samples": 50}
+    code, out = run_cli(doc)
+    assert code == 0 and out["ok_suite"], out

@@ -5,7 +5,8 @@ at n = 1 and 2, ``decompose``, a windowed ``res``, ``witt-pair`` over Z/9,
 ``phi``, ``check`` suites) and error cases, each with its argv, exit code and
 the exact stdout the engine wrote when the corpus was recorded, among them
 ``phi`` at degree 3, ``cc`` over Z/9 and over ``Q[e]/(e^3)`` with a
-non-scalar leading coefficient, and malformed requests.  The CI smoke step
+non-scalar leading coefficient, a ``cc`` whose constant power would pass the
+digits an int prints with, and malformed requests.  The CI smoke step
 replays the whole corpus through ``python -S -m ccsym.cli`` subprocesses.
 Engine refactors must leave every response byte-identical.
 """

@@ -406,7 +406,7 @@ def test_a_banded_expansion_holds_the_series_on_its_band(data):
     for coeff_at, public in ((log_coefficient, lambda w: log_sharp(g + 1, w)),
                              (exp_coefficient, lambda w: exp_sharp(g, w)),
                              (geometric_coefficient, lambda w: invert(g + 1, w))):
-        got = laurent._expand_series(g, coeff_at, plain, band=band, parts=parts,
+        got = laurent._expand_series(g, coeff_at, hi, band=band, parts=parts,
                                      keep_exact=coeff_at is geometric_coefficient)
         want = public(plain)
         if want.is_exact():
@@ -537,8 +537,8 @@ def test_weighted_expansions_match_the_normalized_ones(name, data):
     equal ``log S`` and ``c^-1 S^-1`` with ``S = (c + h) * c^-1`` formed and
     expanded from ``S - 1``: exact, windowed, and with a band, with the same
     ceiling and floor.  So do the public ``invert`` of ``t^nu (c + h)`` and
-    the public ``dlog``, and the ``Dlog`` form of the residue planner."""
-    from ccsym.forms import _dlog_form, d, dlog, dlog_monomial
+    the public ``dlog``, and the ``Dlog`` factor of the residue planner."""
+    from ccsym.forms import Dlog, _Factor, d, dlog, dlog_monomial
 
     ring, n = WEIGHTED[name], data.draw(st.integers(1, 2))
     h = data.draw(sharp_generators(ring, n, constant=False))
@@ -550,33 +550,31 @@ def test_weighted_expansions_match_the_normalized_ones(name, data):
     parts = laurent._generator_parts(h)
     assert parts == laurent._generator_parts(s - 1)
     hi = data.draw(_indices(n, -1, 3))
-    lo = tuple(min(x, -1) for x in hi)
-    window = Window(lo, hi)
+    window = Window(tuple(min(x, -1) for x in hi), hi)
     record = laurent._Sharp(h + c, c)
 
-    def normalized(coeff_at, window, band=None):
-        return laurent._expand_series(s - 1, coeff_at, window, band=band,
+    def normalized(coeff_at, hi, band=None):
+        return laurent._expand_series(s - 1, coeff_at, hi, band=band,
                                       keep_exact=coeff_at is geometric_coefficient)
 
     for band in (None, data.draw(_indices(n, -4, 3))):
-        assert record.log(window, band) == normalized(log_coefficient, window, band)
-        assert record.inverse(window, band) == \
-            normalized(geometric_coefficient, window, band) * scale
-        assert _dlog_form(ring, n, (0,) * n, record, window, band) == \
-            d(s).scale(normalized(geometric_coefficient, window, band))
-    assert record.log(window) == log_sharp(s, window)
-    if not parts[0]:  # terminating: the inverse is exact, window or not
-        exact = record.inverse(window)
+        assert record.log(hi, band) == normalized(log_coefficient, hi, band)
+        assert record.inverse(hi, band) == normalized(geometric_coefficient, hi, band) * scale
+        factor = _Factor(Dlog(record))
+        factor.need, factor.band = hi, band
+        assert factor.form == d(s).scale(normalized(geometric_coefficient, hi, band))
+    assert record.log(hi) == log_sharp(s, window)
+    if not parts[0]:  # terminating: the inverse is exact, ceiling or not
+        exact = record.inverse(hi)
         assert exact.is_exact() and exact == normalized(geometric_coefficient, None) * scale
     nu = data.draw(_indices(n, -2, 2))
     f = (h + c).shift(nu)
     for w in (None, window) if not parts[0] else (window,):
-        shifted = None if w is None else Window(laurent._add_idx(w.lo, nu),
-                                                laurent._add_idx(w.hi, nu))
+        shifted = None if w is None else laurent._add_idx(w.hi, nu)
         want = (normalized(geometric_coefficient, shifted) * scale).shift(tuple(-x for x in nu))
         assert invert(f, w) == want
         assert dlog(f, w) == dlog_monomial(ring, n, nu) + \
-            d(s).scale(normalized(geometric_coefficient, w))
+            d(s).scale(normalized(geometric_coefficient, None if w is None else w.hi))
 
 
 @pytest.mark.parametrize("name", WEIGHTED)
