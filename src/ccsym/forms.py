@@ -354,9 +354,10 @@ class _Factor:
 
 
 def _partial(chain, products):
-    """The product of the components a chain of ``(factor, idx)`` names, or
-    None once a prefix of it holds no stored term; each prefix's product is
-    formed once per batch, in ``products``, and a factor is evaluated only
+    """The product of the components a chain of ``(factor, idx)`` names, in
+    the direction the batch reads its chains, or None once a prefix of it
+    holds no stored term; each prefix's product is formed once per batch, in
+    ``products`` under that oriented prefix, and a factor is evaluated only
     when a prefix that holds a term reaches it."""
     p = None
     for k in range(1, len(chain) + 1):
@@ -397,19 +398,25 @@ def certified_residues(terms):
        and an expansion is read no lower than the target minus the tops of
        the other factors and of its multiplier, in every live summand it
        enters;
-    4. lazy chains: each live summand multiplies the log component by the
-       middle components in turn, each prefix once per batch, and reads the
-       last product at the target only; a chain stops at a prefix that holds
-       no stored term, and a factor's expansion, at its own ceiling and a
+    4. lazy chains: each live summand is a chain of its components, multiplied
+       prefix by prefix, each prefix once per batch, and read at the target
+       only against its last factor; a chain stops at a prefix that holds no
+       stored term, and a factor's expansion, at its own ceiling and a
        windowed one cut below its band, is evaluated only when a chain
-       reaches it.
+       reaches it.  The batch reads every chain in the direction that forms
+       fewer distinct prefixes, from the log component on a tie: the
+       residues of one Witt pairing share their ``dlog`` end and run from
+       there, forming each product of ``dlog`` components once for all.
 
     Below its band an expansion reads zero where its true coefficients are
     not, but no live summand can reach there; such a value lives only inside
-    this routine.  The ceilings cover the target by construction, so nothing
-    is retried.  A windowed input that cannot reach the target raises
-    ``StabilityExhaustedError`` before anything is expanded, in a dropped
-    summand as in a live one.
+    this routine.  The direction changes no value: a product's ceiling is at
+    least ``min_k (hi_k + sum_{j != k} floor_j)`` however it is associated,
+    so the target stays certified, and a term cut below its band meets the
+    target in no association.  The ceilings cover the target by
+    construction, so nothing is retried.  A windowed input that cannot reach
+    the target raises ``StabilityExhaustedError`` before anything is
+    expanded, in a dropped summand as in a live one.
     """
     factors, plans = {}, []
     for g, slots in terms:
@@ -460,6 +467,11 @@ def certified_residues(terms):
                     band = _sub_idx(_add_idx(total, top), f.inner[idx][1])
                     f.band = band if f.band is None else _min_idx(f.band, band)
 
+    def formed(step):  # the distinct products the chains form, read in that direction
+        return len({chain[::step][:k] for _, summands, _ in plans
+                    for _, chain in summands for k in range(2, len(chain))})
+
+    step = 1 if formed(1) <= formed(-1) else -1
     out, products = [], {}
     for chosen, summands, reached in plans:
         ring = chosen[0].ring
@@ -468,6 +480,7 @@ def certified_residues(terms):
         target = (-1,) * chosen[0].n
         acc = ring.zero()
         for sign, chain in summands:
+            chain = chain[::step]
             a = _partial(chain[:-1], products)
             if a is None:
                 continue  # a zero: the last factor is evaluated only for a term

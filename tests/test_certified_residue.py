@@ -1,15 +1,36 @@
 """certified_residue: one evaluation, up to the ceiling the residue needs."""
 
+import contextlib
+import io
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 
 from ccsym import forms, laurent, symbol
-from ccsym.checks import default_ring, random_invertible_series, random_laurent_poly
+from ccsym.checks import (
+    default_ring,
+    random_invertible_series,
+    random_laurent_poly,
+    random_nilpotent_coef,
+)
 from ccsym.coeff import RingSpec, ring_new
+from ccsym.cli import main
 from ccsym.errors import ParseError, StabilityExhaustedError, UnsupportedRingError
 from ccsym.forms import DiffForm, Dlog, Log, certified_residue, certified_residues, dlog, wedge
-from ccsym.laurent import Window, from_terms, log_sharp, one, stable_coefficient, t_var, zero
+from ccsym.laurent import (
+    LaurentElt,
+    Window,
+    from_terms,
+    log_sharp,
+    one,
+    stable_coefficient,
+    t_var,
+    valuation,
+    zero,
+)
 from ccsym.symbol import cc
 from ccsym.witt import IndexSet, WittVector, ghost, witt_pair
 
@@ -47,6 +68,61 @@ def test_matches_stable_coefficient_on_suite_streams(n):
     for g, fs in cases:
         expected = stable_coefficient(_build(g, fs), (-1,) * n)
         assert certified_residue(g, [Dlog(f) for f in fs]) == expected, (str(g), fs)
+
+
+WITT_RING = ring_new(RingSpec("Q", nil=(("e1", 2),)))
+
+
+@pytest.mark.parametrize("n, top", [(2, 6), (3, 4)])
+def test_each_witt_ghost_is_its_residue_read_in_one_batch(n, top):
+    # witt_pair reads all |S| residues in one batch, whose chains share their
+    # dlog end and are multiplied from there; every ghost coordinate must
+    # still be res(g(i) dlog f_1 ^ ... ^ dlog f_n), built form by form.  Each
+    # f_j has valuation e_j, and each w_i a unit constant term, so that the
+    # residues are nonzero and most have a nilpotent part
+    rng = random.Random(2400 + n)
+    S = IndexSet.closure(range(1, top + 1))
+    nilpotent = 0
+    for _ in range(4):
+        fs = []
+        for j in range(n):
+            f = random_invertible_series(rng, WITT_RING, n)
+            e = tuple(int(i == j) for i in range(n))
+            fs.append(f.shift(tuple(a - b for a, b in zip(e, valuation(f)))))
+        w = WittVector(S, {i: random_laurent_poly(rng, WITT_RING, n, bound=1) + one(WITT_RING, n)
+                           * (rng.randint(1, 3) + random_nilpotent_coef(rng, WITT_RING))
+                           for i in S})
+        got = ghost(witt_pair(fs, w)).ghost
+        for i, g in ghost(w).ghost.items():
+            expected = stable_coefficient(_build(g, fs), (-1,) * n)
+            assert got[i] == expected, (n, i, str(g), [str(f) for f in fs])
+            nilpotent += expected != WITT_RING.from_scalar(expected.constant_scalar())
+    assert nilpotent >= 2 * top
+
+
+def _golden_request(name):
+    corpus = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+    return next(c["request"] for c in json.loads(corpus.read_text()) if c["name"] == name)
+
+
+def test_a_witt_pairing_forms_one_chain_product_per_permutation(monkeypatch):
+    # At n = 2 and S = {1..6}, multiplying each chain from g(i) forms up to
+    # 12 products g(i) * dlog f_1[p] (10 on this request: g(1) is 0); from
+    # the dlog end, the 2 products dlog f_2[q] * dlog f_1[p] serve every i
+    formed = []
+    real = LaurentElt.__mul__
+
+    def counted(a, b):
+        if sys._getframe(1).f_code is forms._partial.__code__:
+            formed.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentElt, "__mul__", counted)
+    request = _golden_request("witt_pair_qe_n2")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([]) == 0
+    assert json.loads(out.getvalue())["ok"] and 1 <= len(formed) <= 2
 
 
 def test_log_factor_matches_hand_expansion(Qe):

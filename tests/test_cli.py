@@ -1,12 +1,14 @@
 import copy
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ccsym
 from ccsym.checks import SUITES
 from ccsym.cli import main
 from ccsym.coeff import RingSpec, ring_new
@@ -203,13 +205,23 @@ def test_emitted_values_reparse():
     assert str(ring.parse_coef(out["value"])) == out["value"]
 
 
+def child_env():
+    """The environment of a ``python -m ccsym.cli`` child: ``PYTHONPATH``
+    starts with the directory holding the ``ccsym`` this process imported,
+    then any entries it had, so the child runs the same package, installed
+    or not (pytest's ``pythonpath`` reaches only pytest's own process)."""
+    root = str(pathlib.Path(ccsym.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([root, rest] if rest else [root])}
+
+
 def test_subprocess_entry(tmp_path):
     req = tmp_path / "req.json"
     t = series(1, [((1,), "1")])
     req.write_text(json.dumps({"command": "cc", "ring": {"base": "Q"}, "n": 1,
                                "tuple": [t, t]}))
     proc = subprocess.run([sys.executable, "-m", "ccsym.cli", "--file", str(req)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "-1"
 
@@ -221,7 +233,7 @@ def test_file_request_leaves_no_resource_warning(tmp_path):
     req.write_text(json.dumps({"command": "cc", "ring": {"base": "Q"}, "n": 1,
                                "tuple": [t, t]}))
     proc = subprocess.run([sys.executable, "-X", "dev", "-m", "ccsym.cli", "--file", str(req)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["value"] == "-1"
 

@@ -1,8 +1,9 @@
 """Golden CLI corpus: every response must match the recorded bytes exactly.
 
 ``data/cli_golden.json`` holds requests over all eight commands (sharp ``cc``
-at n = 1 and 2, ``decompose``, a windowed ``res``, ``witt-pair`` over Z/9,
-``phi``, ``check`` suites) and error cases, each with its argv, exit code and
+at n = 1 and 2, ``decompose``, a windowed ``res``, ``witt-pair`` over Z/9 at
+n = 1 and over ``Q[e]/(e^2)`` and ``Z/9[e]/(e^2)`` at n = 2 with
+S = {1..6}, ``phi``, ``check`` suites) and error cases, each with its argv, exit code and
 the exact stdout the engine wrote when the corpus was recorded, among them
 ``phi`` at degree 3, ``cc`` over Z/9 and over ``Q[e]/(e^3)`` with a
 non-scalar leading coefficient, a ``cc`` whose constant power would pass the
