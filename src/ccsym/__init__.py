@@ -18,72 +18,35 @@ All arithmetic is exact; windowed series computations carry certificates and
 either return provably correct coefficients or fail with a stability error.
 """
 
-from .coeff import Coef, Ring, RingSpec, ring_new
-from .errors import (
-    EngineError,
-    InternalConsistencyError,
-    NotInvertibleError,
-    NotSharpError,
-    ParseError,
-    RingMismatchError,
-    StabilityExhaustedError,
-    UnsupportedRingError,
-)
-from .laurent import (
-    LaurentElt,
-    UnitDecomposition,
-    Window,
-    coarse_split,
-    compose_series,
-    decompose,
-    exp_sharp,
-    from_terms,
-    invert,
-    log_sharp,
-    monomial,
-    one,
-    stable_coefficient,
-    t_var,
-    valuation,
-    zero,
-)
-from .forms import (
-    DiffForm,
-    Dlog,
-    Log,
-    certified_residue,
-    certified_residues,
-    d,
-    dlog,
-    res,
-    wedge,
-)
-from .symbol import (
-    additive_symbol,
-    cc,
-    cc_eps_linearization,
-    cc_eta_linearization,
-    sgn_kh,
-    sgn_vf,
-    steinberg_det_check,
-    tame_symbol,
-)
-from .witt import GhostVector, IndexSet, WittVector, ghost, ghost_to_coords, upsilon, \
-    witt_add, witt_pair
-from .universal import PhiKey, UniversalSeries, evaluate_phi, phi_coefficients
+# every public name and the module it lives in; each module loads on the first
+# read of one of its names (or on its own import), so ``import ccsym.cli``
+# does not load ``witt`` or ``universal``
+_HOMES = {
+    "coeff": ("Coef", "Ring", "RingSpec", "ring_new"),
+    "errors": ("EngineError", "InternalConsistencyError", "NotInvertibleError",
+               "NotSharpError", "ParseError", "RingMismatchError",
+               "StabilityExhaustedError", "UnsupportedRingError"),
+    "laurent": ("LaurentElt", "UnitDecomposition", "Window",
+                "coarse_split", "compose_series", "decompose", "exp_sharp", "from_terms",
+                "invert", "log_sharp", "monomial", "one", "stable_coefficient", "t_var",
+                "valuation", "zero"),
+    "forms": ("DiffForm", "Dlog", "Log", "certified_residue", "certified_residues",
+              "d", "dlog", "res", "wedge"),
+    "symbol": ("additive_symbol", "cc", "cc_eps_linearization", "cc_eta_linearization",
+               "sgn_kh", "sgn_vf", "steinberg_det_check", "tame_symbol"),
+    "witt": ("GhostVector", "IndexSet", "WittVector", "ghost", "ghost_to_coords", "upsilon",
+             "witt_add", "witt_pair"),
+    "universal": ("PhiKey", "UniversalSeries", "evaluate_phi", "phi_coefficients"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = [*_HOME]
 
-__all__ = [
-    "Coef", "Ring", "RingSpec", "ring_new",
-    "EngineError", "InternalConsistencyError", "NotInvertibleError", "NotSharpError",
-    "ParseError", "RingMismatchError", "StabilityExhaustedError", "UnsupportedRingError",
-    "LaurentElt", "UnitDecomposition", "Window",
-    "coarse_split", "compose_series", "decompose", "exp_sharp", "from_terms", "invert",
-    "log_sharp", "monomial", "one", "stable_coefficient", "t_var", "valuation", "zero",
-    "DiffForm", "Dlog", "Log", "certified_residue", "certified_residues",
-    "d", "dlog", "res", "wedge",
-    "additive_symbol", "cc", "cc_eps_linearization", "cc_eta_linearization",
-    "sgn_kh", "sgn_vf", "steinberg_det_check", "tame_symbol",
-    "GhostVector", "IndexSet", "WittVector", "ghost", "ghost_to_coords", "upsilon",
-    "witt_add", "witt_pair",
-    "PhiKey", "UniversalSeries", "evaluate_phi", "phi_coefficients",
-]
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a fromlist makes __import__ return the submodule itself
+    home = __import__(f"{__name__}.{module}", fromlist=(name,))
+    value = globals()[name] = getattr(home, name)
+    return value

@@ -5,7 +5,8 @@ Reads one request document from stdin (or ``--file``), dispatches on its
 0 on success, 1 on malformed input, 2 on domain errors (non-invertible
 input, stability failures, unsupported rings).  Rationals are serialized as
 strings; responses are key-sorted so identical requests produce identical
-bytes.
+bytes.  The argument parser is built once per process, and the ``witt``,
+``universal`` and ``checks`` modules load only in the handlers that use them.
 """
 
 from __future__ import annotations
@@ -14,33 +15,31 @@ import argparse
 import json
 import sys
 
-from .coeff import RingSpec, json_int, json_object, ring_new
+from .coeff import RingSpec, json_int, json_list, json_object, ring_new
 from .errors import EngineError, ParseError
 from .forms import form_from_json, res
 from .laurent import Window, decompose, series_from_json, window_from_json
 from .symbol import additive_symbol, cc, tame_symbol
-from .universal import PhiKey, check_integrality, check_weight_zero, phi_coefficients
-from .witt import IndexSet, WittVector, ghost, witt_pair
 
 
 def _ring_from(doc):
     return ring_new(RingSpec.from_json(doc.get("ring", {"base": "Q"})))
 
 
-def _series_list(ring, docs):
-    return [series_from_json(ring, doc) for doc in docs]
+def _series_list(ring, docs, what):
+    return [series_from_json(ring, doc) for doc in json_list(docs, what)]
 
 
 def _cmd_cc(doc):
     ring = _ring_from(doc)
-    entries = _series_list(ring, doc["tuple"])
+    entries = _series_list(ring, doc["tuple"], "tuple")
     value, trace = cc(entries, want_trace=True)
     return {"value": str(value), "branch_trace": trace}
 
 
 def _cmd_nu(doc):
     ring = _ring_from(doc)
-    entries = _series_list(ring, doc["tuple"])
+    entries = _series_list(ring, doc["tuple"], "tuple")
     return {"value": additive_symbol(entries)}
 
 
@@ -60,7 +59,7 @@ def _cmd_decompose(doc):
 
 def _cmd_tame(doc):
     ring = _ring_from(doc)
-    entries = _series_list(ring, doc["tuple"])
+    entries = _series_list(ring, doc["tuple"], "tuple")
     if len(entries) != 2:
         raise ParseError(f"tame takes a tuple of two series, got {len(entries)}")
     f, g = entries
@@ -68,9 +67,11 @@ def _cmd_tame(doc):
 
 
 def _cmd_witt_pair(doc):
+    from .witt import IndexSet, WittVector, ghost, witt_pair
+
     ring = _ring_from(doc)
-    fs = _series_list(ring, doc["f"])
-    index_set = IndexSet(tuple(sorted(json_int(i) for i in doc["S"])))
+    fs = _series_list(ring, doc["f"], "f")
+    index_set = IndexSet(tuple(sorted(json_int(i) for i in json_list(doc["S"], "S"))))
     coords = {json_int(i): series_from_json(ring, s)
               for i, s in json_object(doc["g"]["coords"], "g.coords").items()}
     vector = WittVector(index_set, coords)
@@ -85,8 +86,11 @@ def _cmd_witt_pair(doc):
 
 
 def _cmd_phi(doc):
+    from .universal import PhiKey, check_integrality, check_weight_zero, phi_coefficients
+
     n = json_int(doc["n"])
-    key = PhiKey(n, tuple(json_int(j) for j in doc.get("j", range(1, n + 1))))
+    js = json_list(doc["j"], "j") if "j" in doc else range(1, n + 1)
+    key = PhiKey(n, tuple(json_int(j) for j in js))
     degree = json_int(doc.get("degree", 4))
     win = doc.get("window")
     window = Window.cube(n, 3) if win is None else window_from_json(win)
@@ -111,7 +115,7 @@ def _cmd_check(doc):
         raise ParseError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     seed = json_int(doc.get("seed", 0))
     trials = _count(doc, "trials", 20)
-    n = json_int(doc.get("n", 1))
+    n = _count(doc, "n", 1)
     if name == "phi_integrality":
         report = SUITES[name](n=n, degree=json_int(doc.get("degree", 4)),
                               radius=json_int(doc.get("radius", 3)))
@@ -149,13 +153,16 @@ def _emit(payload, pretty):
     sys.stdout.write(text + "\n")
 
 
+# built once per process: parse_args leaves the parser as it found it
+_PARSER = argparse.ArgumentParser(
+    prog="ccsym",
+    description="exact higher Contou-Carrere symbols, residues and Witt pairings")
+_PARSER.add_argument("--file", help="read the JSON request from a file instead of stdin")
+_PARSER.add_argument("--json-pretty", action="store_true")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="ccsym",
-        description="exact higher Contou-Carrere symbols, residues and Witt pairings")
-    parser.add_argument("--file", help="read the JSON request from a file instead of stdin")
-    parser.add_argument("--json-pretty", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.file:

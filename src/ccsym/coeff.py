@@ -33,7 +33,6 @@ import operator
 import re
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -50,8 +49,36 @@ _SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 _FREE_BITS = 16  # value bits of a free generator's field: exponents below 2**16
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Struct:
+    """Base of the value classes whose fields are their ``__slots__``, in
+    order: ``Name(field=value, ...)`` as ``repr``, and ``==`` and ``hash``
+    over the tuple of fields, between instances of one class.  A class whose
+    fields may be mutable objects sets ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the tuple of fields, for one field too (a dataclass hashes that
+        # tuple); an attrgetter reads it about as fast as generated code
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class RingSpec(Struct):
     """Presentation of a coefficient ring.
 
     ``base`` is ``"Q"``, ``"Z"`` or a modulus ``m >= 2``.  ``nil_total_cap``
@@ -60,10 +87,13 @@ class RingSpec:
     rings of the universal-series module).
     """
 
-    base: object = "Q"
-    free: tuple = ()
-    nil: tuple = ()
-    nil_total_cap: object = None
+    __slots__ = ("base", "free", "nil", "nil_total_cap")
+
+    def __init__(self, base="Q", free=(), nil=(), nil_total_cap=None):
+        self.base = base
+        self.free = free
+        self.nil = nil
+        self.nil_total_cap = nil_total_cap
 
     def to_json(self):
         if self.base in ("Q", "Z"):

@@ -19,11 +19,10 @@ expansion is exact on its band only, so it stays inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .coeff import Ring, json_int, json_list, json_object
+from .coeff import Ring, Struct, json_int, json_list, json_object
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -212,21 +211,28 @@ def res(omega: DiffForm):
 
 # -- target-driven residues ------------------------------------------------------
 
-@dataclass(eq=False)
-class Log:
+class Log(Struct):
     """The 0-form ``log s`` of a multiplicatively sharp series ``s``, or,
     given a split record (``laurent._Sharp``), ``log S`` of its sharp part
-    ``S = g / c``, which is never formed."""
+    ``S = g / c``, which is never formed.  Equal only to itself."""
 
-    s: LaurentElt | _Sharp
+    __slots__ = ("s",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, s: LaurentElt | _Sharp):
+        self.s = s
 
 
-@dataclass(eq=False)
-class Dlog:
+class Dlog(Struct):
     """The 1-form ``dlog f`` of an invertible series ``f``, or, given a split
-    record (``laurent._Sharp``), ``dlog S = dlog g`` of its sharp part."""
+    record (``laurent._Sharp``), ``dlog S = dlog g`` of its sharp part.
+    Equal only to itself."""
 
-    f: LaurentElt | _Sharp
+    __slots__ = ("f",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, f: LaurentElt | _Sharp):
+        self.f = f
 
 
 def _max_idx(l, m):

@@ -58,13 +58,13 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .coeff import (
     Coef,
     Ring,
+    Struct,
     exp_coefficient,
     geometric_coefficient,
     json_int,
@@ -209,16 +209,16 @@ def _key_of(l, n):
     return k
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Struct):
     """A box ``[lo, hi]`` in Z^n; ``None`` in window positions means Exact."""
 
-    lo: tuple
-    hi: tuple
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ParseError(f"bad window lo={self.lo} hi={self.hi}")
+    def __init__(self, lo, hi):
+        if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
+            raise ParseError(f"bad window lo={lo} hi={hi}")
+        self.lo = lo
+        self.hi = hi
 
     @staticmethod
     def box(lo, hi):
@@ -735,14 +735,17 @@ def neg_part(f: LaurentElt):
                       f.hi, f.floor)
 
 
-@dataclass
-class UnitDecomposition:
+class UnitDecomposition(Struct):
     """f = t^nu * c * v_plus * v_minus, the canonical unit-group splitting."""
 
-    nu: tuple
-    c: Coef
-    v_plus: LaurentElt
-    v_minus: LaurentElt
+    __slots__ = ("nu", "c", "v_plus", "v_minus")
+    __hash__ = None
+
+    def __init__(self, nu, c, v_plus, v_minus):
+        self.nu = nu
+        self.c = c
+        self.v_plus = v_plus
+        self.v_minus = v_minus
 
     def product(self):
         out = (self.v_plus * self.v_minus) * self.c

@@ -16,10 +16,9 @@ coefficients into the series needs no denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import RingSpec, ring_new
+from .coeff import RingSpec, Struct, ring_new
 from .errors import InternalConsistencyError, NotSharpError, ParseError
 from .laurent import Window, _decode, from_terms, require_exact, t_var
 from .symbol import cc
@@ -30,19 +29,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiKey:
+class PhiKey(Struct):
     """n and the strictly increasing tuple of variable-slot positions."""
 
-    n: int
-    js: tuple = ()
+    __slots__ = ("n", "js")
 
-    def __post_init__(self):
-        js = tuple(self.js)
-        if list(js) != sorted(set(js)) or any(not 1 <= j <= self.n for j in js):
-            raise ParseError(f"bad branch positions {js} for n={self.n}")
-        if self.n < 1 or len(js) > self.n:
-            raise ParseError(f"bad key n={self.n}, js={js}")
+    def __init__(self, n: int, js: tuple = ()):
+        checked = tuple(js)
+        if list(checked) != sorted(set(checked)) or any(not 1 <= j <= n for j in checked):
+            raise ParseError(f"bad branch positions {checked} for n={n}")
+        if n < 1 or len(checked) > n:
+            raise ParseError(f"bad key n={n}, js={checked}")
+        self.n = n
+        self.js = js
 
     @property
     def q(self):
@@ -53,8 +52,7 @@ class PhiKey:
         return self.n + 1 - self.q
 
 
-@dataclass
-class UniversalSeries:
+class UniversalSeries(Struct):
     """Finitely many coefficients of the universal series.
 
     ``coeffs`` maps canonical monomials -- sorted tuples of
@@ -62,10 +60,14 @@ class UniversalSeries:
     term is stored implicitly and equals one.
     """
 
-    key: PhiKey
-    degree: int
-    window: Window
-    coeffs: dict
+    __slots__ = ("key", "degree", "window", "coeffs")
+    __hash__ = None
+
+    def __init__(self, key: PhiKey, degree: int, window: Window, coeffs: dict):
+        self.key = key
+        self.degree = degree
+        self.window = window
+        self.coeffs = coeffs
 
     def coefficient(self, monomial):
         monomial = tuple(sorted(((i, tuple(l)), e) for (i, l), e in monomial))

@@ -13,9 +13,7 @@ coefficient ring whose i-th ghost coordinate is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import Coef
+from .coeff import Coef, Struct
 from .errors import (
     InexactDivisionError,
     InternalConsistencyError,
@@ -34,21 +32,20 @@ def _divisors(i):
     return [d for d in range(1, i + 1) if i % d == 0]
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Struct):
     """A finite divisor-closed set of positive integers."""
 
-    members: tuple
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        ms = self.members
-        if ms != tuple(sorted(set(ms))) or any(i < 1 for i in ms):
-            raise ParseError(f"bad index set {ms}")
-        have = set(ms)
-        for i in ms:
+    def __init__(self, members: tuple):
+        if members != tuple(sorted(set(members))) or any(i < 1 for i in members):
+            raise ParseError(f"bad index set {members}")
+        have = set(members)
+        for i in members:
             for d in _divisors(i):
                 if d not in have:
-                    raise ParseError(f"{ms} is not divisor-closed: {d} | {i} is missing")
+                    raise ParseError(f"{members} is not divisor-closed: {d} | {i} is missing")
+        self.members = members
 
     @staticmethod
     def closure(seed):
@@ -67,27 +64,26 @@ class IndexSet:
         return len(self.members)
 
 
-@dataclass
-class WittVector:
-    S: IndexSet
-    coords: dict
+class WittVector(Struct):
+    __slots__ = ("S", "coords")
+    __hash__ = None
 
-    def __post_init__(self):
-        if set(self.coords) != set(self.S.members):
+    def __init__(self, S: IndexSet, coords: dict):
+        if set(coords) != set(S.members):
             raise ParseError("coordinates do not match the index set")
+        self.S = S
+        self.coords = coords
 
-    def __eq__(self, other):
-        return isinstance(other, WittVector) and self.S == other.S and self.coords == other.coords
 
+class GhostVector(Struct):
+    __slots__ = ("S", "ghost")
+    __hash__ = None
 
-@dataclass
-class GhostVector:
-    S: IndexSet
-    ghost: dict
-
-    def __post_init__(self):
-        if set(self.ghost) != set(self.S.members):
+    def __init__(self, S: IndexSet, ghost: dict):
+        if set(ghost) != set(S.members):
             raise ParseError("ghost coordinates do not match the index set")
+        self.S = S
+        self.ghost = ghost
 
 
 def _ghost_term(coords, powers, d, i):

@@ -49,25 +49,47 @@ def _build(g, fs):
     return build
 
 
+def _at_unit_valuations(rng, ring, n):
+    """n random invertible series, the j-th shifted to valuation e_j, so that
+    res(g dlog f_1 ^ ... ^ dlog f_n) reads g's constant term at det 1."""
+    fs = []
+    for j in range(n):
+        f = random_invertible_series(rng, ring, n)
+        e = tuple(int(i == j) for i in range(n))
+        fs.append(f.shift(tuple(a - b for a, b in zip(e, valuation(f)))))
+    return fs
+
+
+def _with_unit_constant(rng, ring, n, g):
+    return g + one(ring, n) * (rng.randint(1, 3) + random_nilpotent_coef(rng, ring))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_matches_stable_coefficient_on_suite_streams(n):
+    # the suites' streams, drawn so that their residues are mostly nonzero:
+    # each f_j at valuation e_j and each g with a unit constant term
     tower = default_ring()
     witt_ring = ring_new(RingSpec("Q", nil=(("e1", 2),)))
     rng = random.Random(2300 + n)
-    cases = []
+    streams = {"residue_det": [], "eps": [], "witt": []}
     for _ in range(6):
-        fs = [random_invertible_series(rng, tower, n) for _ in range(n)]
-        cases.append((one(tower, n), fs))  # residue_det
-        g = random_laurent_poly(rng, tower, n)
-        cases.append((g, [random_invertible_series(rng, tower, n) for _ in range(n)]))  # eps
+        streams["residue_det"].append((one(tower, n), _at_unit_valuations(rng, tower, n)))
+        g = _with_unit_constant(rng, tower, n, random_laurent_poly(rng, tower, n))
+        streams["eps"].append((g, _at_unit_valuations(rng, tower, n)))
     for _ in range(3):
-        fs = [random_invertible_series(rng, witt_ring, n) for _ in range(n)]
+        fs = _at_unit_valuations(rng, witt_ring, n)
         S = IndexSet.closure(range(1, 5))
-        w = WittVector(S, {i: random_laurent_poly(rng, witt_ring, n, bound=1) for i in S})
-        cases += [(gi, fs) for gi in ghost(w).ghost.values()]  # witt ghost residues
-    for g, fs in cases:
-        expected = stable_coefficient(_build(g, fs), (-1,) * n)
-        assert certified_residue(g, [Dlog(f) for f in fs]) == expected, (str(g), fs)
+        w = WittVector(S, {i: _with_unit_constant(rng, witt_ring, n,
+                                                  random_laurent_poly(rng, witt_ring, n, bound=1))
+                           for i in S})
+        streams["witt"] += [(gi, fs) for gi in ghost(w).ghost.values()]
+    for name, cases in streams.items():
+        nonzero = 0
+        for g, fs in cases:
+            expected = stable_coefficient(_build(g, fs), (-1,) * n)
+            assert certified_residue(g, [Dlog(f) for f in fs]) == expected, (name, str(g), fs)
+            nonzero += bool(expected)
+        assert nonzero >= len(cases) - 1, (name, nonzero, len(cases))
 
 
 WITT_RING = ring_new(RingSpec("Q", nil=(("e1", 2),)))
@@ -84,13 +106,9 @@ def test_each_witt_ghost_is_its_residue_read_in_one_batch(n, top):
     S = IndexSet.closure(range(1, top + 1))
     nilpotent = 0
     for _ in range(4):
-        fs = []
-        for j in range(n):
-            f = random_invertible_series(rng, WITT_RING, n)
-            e = tuple(int(i == j) for i in range(n))
-            fs.append(f.shift(tuple(a - b for a, b in zip(e, valuation(f)))))
-        w = WittVector(S, {i: random_laurent_poly(rng, WITT_RING, n, bound=1) + one(WITT_RING, n)
-                           * (rng.randint(1, 3) + random_nilpotent_coef(rng, WITT_RING))
+        fs = _at_unit_valuations(rng, WITT_RING, n)
+        w = WittVector(S, {i: _with_unit_constant(rng, WITT_RING, n,
+                                                  random_laurent_poly(rng, WITT_RING, n, bound=1))
                            for i in S})
         got = ghost(witt_pair(fs, w)).ghost
         for i, g in ghost(w).ghost.items():

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -311,6 +312,7 @@ def test_dropped_flags_are_refused():
 
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_BY_NAME = {case["name"]: case["request"] for case in GOLDEN}
 
 
 def _json_paths(node, prefix=()):
@@ -457,3 +459,76 @@ def test_every_check_suite_passes_through_the_cli(suite, n):
            "degree": 2, "radius": 1, "samples": 50}
     code, out = run_cli(doc)
     assert code == 0 and out["ok_suite"], out
+
+
+# the bytes the per-call parser wrote, recorded before it was built once per process
+HELP = ("usage: ccsym [-h] [--file FILE] [--json-pretty]\n\n"
+        "exact higher Contou-Carrere symbols, residues and Witt pairings\n\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --file FILE    read the JSON request from a file instead of stdin\n"
+        "  --json-pretty\n")
+SEED_REFUSAL = ("usage: ccsym [-h] [--file FILE] [--json-pretty]\n"
+                "ccsym: error: unrecognized arguments: --seed 3\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["--help"], 0, HELP, ""),
+    (["--seed", "3"], 2, "", SEED_REFUSAL),
+], ids=["help", "seed_refusal"])
+def test_the_parser_writes_the_recorded_bytes(monkeypatch, capsys, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    for _ in range(2):  # the parser is shared, so a second call must read the same
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+        assert capsys.readouterr() == (stdout, stderr)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch):
+    run_cli({"command": "nu", "n": 1, "tuple": []})
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(args)
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    t = series(1, [((1,), "1")])
+    for argv in ([], ["--json-pretty"]) * 3:
+        code, _ = run_cli({"command": "cc", "n": 1, "tuple": [t, t]}, argv)
+        assert code == 0
+    assert built == []
+
+
+def test_import_loads_only_what_every_command_needs():
+    # witt and universal load in their own handlers, checks in the check
+    # handler; the value classes are plain __slots__ classes, so dataclasses
+    # (with inspect and ast) never loads
+    code = ("import sys, ccsym.cli; print(sorted({'ccsym.checks', 'ccsym.witt', "
+            "'ccsym.universal', 'dataclasses'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("witt_pair_z9", "S", "12"), ("witt_pair_z9", "S", {"1": 5}),
+    ("witt_pair_z9", "f", "x"), ("witt_pair_z9", "f", {"1": {"n": 1, "terms": []}}),
+    ("phi_n2_j12", "j", "12"), ("phi_n2_j12", "j", {"1": 0, "2": 0}),
+    ("cc_q_n1_t_t", "tuple", "ab"),
+], ids=["S_string", "S_object", "f_string", "f_object", "j_string", "j_object", "tuple_string"])
+def test_a_string_or_object_for_an_array_is_a_parse_error(name, field, value):
+    # "12" was read as S = {1, 2} or j = (1, 2), and an object as its keys,
+    # each answering ok
+    code, out = run_cli(dict(GOLDEN_BY_NAME[name], **{field: value}))
+    assert code == 1 and out["error"] == {
+        "kind": "ParseError", "detail": f"{field} must be a JSON array, got {type(value).__name__}"}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_check_refuses_a_negative_n(suite):
+    code, out = run_cli({"command": "check", "suite": suite, "n": -1})
+    assert code == 1 and out["error"] == {"kind": "ParseError",
+                                          "detail": "n must not be negative, got -1"}
