@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .coeff import RingSpec, ring_new
-from .errors import NotInvertibleError
+from .errors import NotInvertibleError, ParseError
 from .forms import Dlog, certified_residue
 from .laurent import (
     Window,
@@ -127,6 +127,8 @@ def suite_multilinear(ring=None, n=1, trials=20, seed=0):
 
 
 def suite_antisymmetric(ring=None, n=1, trials=20, seed=0):
+    if n < 1:
+        raise ParseError(f"antisymmetric swaps two series, so n must be at least 1, got {n}")
     ring = ring or default_ring()
 
     def body(rng, k):

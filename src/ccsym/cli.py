@@ -3,7 +3,8 @@
 Reads one request document from stdin (or ``--file``), dispatches on its
 ``command`` field and writes a single JSON response to stdout.  Exit codes:
 0 on success, 1 on malformed input, 2 on domain errors (non-invertible
-input, stability failures, unsupported rings).  Rationals are serialized as
+input, stability failures, unsupported rings) and on any other exception
+the engine raises (``InternalConsistency``).  Rationals are serialized as
 strings; responses are key-sorted so identical requests produce identical
 bytes.  The argument parser is built once per process, and the ``witt``,
 ``universal`` and ``checks`` modules load only in the handlers that use them.
@@ -77,9 +78,7 @@ def _cmd_witt_pair(doc):
     vector = WittVector(index_set, coords)
     out = witt_pair(fs, vector)
     ghosts = ghost(out)
-    integral = all(c.ring.base != "Q" or
-                   all(s.denominator == 1 for s in c.terms.values())
-                   for c in out.coords.values())
+    integral = all(c.den == 1 for c in out.coords.values())
     return {"coords": {str(i): str(out.coords[i]) for i in out.S},
             "ghost": {str(i): str(ghosts.ghost[i]) for i in out.S},
             "integral": integral}
@@ -181,12 +180,16 @@ def main(argv=None):
         engine = isinstance(exc, EngineError)
         kind = exc.kind if engine else "ParseError"
         detail = exc.detail if engine else str(exc)
-        _emit({"ok": False, "error": {"kind": kind, "detail": detail}}, args.json_pretty)
-        return 1 if kind == "ParseError" else 2
-    payload = {"ok": True}
-    payload.update(result)
-    _emit(payload, args.json_pretty)
-    return 0
+    except Exception as exc:
+        # any other exception is a fault of the engine; it still answers as JSON (exit 2)
+        kind, detail = "InternalConsistency", f"{type(exc).__name__}: {exc}"
+    else:
+        payload = {"ok": True}
+        payload.update(result)
+        _emit(payload, args.json_pretty)
+        return 0
+    _emit({"ok": False, "error": {"kind": kind, "detail": detail}}, args.json_pretty)
+    return 1 if kind == "ParseError" else 2
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ Every element has one canonical form, so equality is structural:
 * **Scalars are int numerators** over one positive denominator ``den`` per
   element, ``gcd(den, numerators) == 1``.  ``den`` is 1 except over Q, and
   scalars mod ``m`` lie in ``[0, m)``.
-* **``Coef.terms`` is the tuple-keyed view** ``{exponent tuple: scalar}``
-  (``Fraction`` over Q, ``int`` otherwise), decoded on access and never
-  stored; ``Ring.make`` accepts the same shape.
+* **``Coef.terms`` is the tuple-keyed shape** ``{exponent tuple: scalar}``
+  (``Fraction`` over Q, ``int`` otherwise), a read-only mapping decoded
+  from ``_mono`` on each read and never stored; ``Ring.make`` accepts the
+  same shape.  It is an edge for callers: the engine reads ``_mono`` only.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import math
 import operator
 import re
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     InexactDivisionError,
@@ -580,8 +581,9 @@ class Coef:
     ``_mono`` maps packed monomial keys to nonzero int numerators over the
     positive denominator ``den`` (1 except over Q), with
     ``gcd(den, numerators) == 1`` and scalars mod m in ``[0, m)``; ``terms``
-    is the tuple-keyed view of the same element.  Instances are immutable;
-    all operators return fresh canonical elements.
+    decodes the same element into tuple keys on each read, for callers
+    outside the engine.  Instances are immutable; all operators return fresh
+    canonical elements.
     """
 
     __slots__ = ("ring", "_mono", "den")
@@ -593,9 +595,11 @@ class Coef:
 
     @property
     def terms(self):
-        """Read-only ``{exponent tuple: scalar}`` view (free generators first,
-        then nil generators; ``Fraction`` over Q, ``int`` otherwise)."""
-        return TermsView(self)
+        """Read-only ``{exponent tuple: scalar}`` (free generators first, then
+        nil generators; ``Fraction`` over Q, ``int`` otherwise), in store
+        order.  It is decoded from ``_mono`` on each read."""
+        decode, scalar = self.ring._decode, self._scalar
+        return MappingProxyType({decode(k): scalar(v) for k, v in self._mono.items()})
 
     def _scalar(self, v):
         return Fraction(v, self.den) if self.ring.base == "Q" else v
@@ -817,53 +821,6 @@ class Coef:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-class TermsView(Mapping):
-    """The ``terms`` of a :class:`Coef`: ``{exponent tuple: scalar}``, read-only.
-
-    It stores nothing: each iteration decodes the element's packed keys and
-    each lookup packs the tuple it is given.
-    """
-
-    __slots__ = ("_coef",)
-
-    def __init__(self, coef):
-        self._coef = coef
-
-    def __len__(self):
-        return len(self._coef._mono)
-
-    def __iter__(self):
-        return map(self._coef.ring._decode, self._coef._mono)
-
-    def __getitem__(self, exps):
-        coef = self._coef
-        try:
-            key = coef.ring._pack(exps)
-        except (TypeError, ParseError, UnsupportedRingError):
-            key = None
-        if key not in coef._mono:
-            raise KeyError(exps)
-        return coef._scalar(coef._mono[key])
-
-    def _pairs(self):
-        coef = self._coef
-        decode, scalar = coef.ring._decode, coef._scalar
-        return ((decode(k), scalar(v)) for k, v in coef._mono.items())
-
-    def items(self):
-        return _TermItems(self)
-
-    def __repr__(self):
-        return repr(dict(self._pairs()))
-
-
-class _TermItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._pairs()
 
 
 def geometric_coefficient(i):

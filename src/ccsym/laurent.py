@@ -41,9 +41,9 @@ lies.  A constructor (:func:`from_terms`, :func:`monomial`,
 ``ParseError``; an index the engine makes there (a product, shift, power or
 derivative) is refused with ``UnsupportedRingError``.  Keys are decoded
 only at the edges: ``to_json``, ``__str__``, the plans of
-:func:`_generator_parts` and the read-only ``terms`` view, which reads as
-``{index tuple: Coef}``, decodes on iteration, packs on lookup and stores
-nothing.
+:func:`_generator_parts` and ``terms``, a read-only ``{index tuple: Coef}``
+decoded from ``_terms`` on each read for callers outside the engine, which
+reads only the packed stores.
 
 Products and expansions share one flat route: each operand's coefficients
 become packed numerators over one denominator, every pair of terms inside
@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .coeff import (
     Coef,
@@ -232,9 +232,9 @@ class Window(Struct):
 class LaurentElt:
     """A sparse iterated Laurent polynomial, exact or certified on a window.
 
-    ``_terms`` maps packed index keys to nonzero ``Coef``; ``terms`` is its
-    read-only ``{index tuple: Coef}`` view.  ``hi`` and ``floor`` are index
-    tuples.
+    ``_terms`` maps packed index keys to nonzero ``Coef``; ``terms`` decodes
+    it into a read-only ``{index tuple: Coef}`` on each read.  ``hi`` and
+    ``floor`` are index tuples.
     """
 
     __slots__ = ("ring", "n", "_terms", "hi", "floor")
@@ -248,8 +248,10 @@ class LaurentElt:
 
     @property
     def terms(self):
-        """Read-only ``{index tuple: Coef}`` view of the stored terms."""
-        return SeriesTerms(self)
+        """Read-only ``{index tuple: Coef}`` of the stored terms, in store
+        order, decoded from ``_terms`` on each read."""
+        n = self.n
+        return MappingProxyType({_decode(k, n): c for k, c in self._terms.items()})
 
     # -- construction ---------------------------------------------------------
 
@@ -480,40 +482,6 @@ class LaurentElt:
             lo = self.floor if self.floor is not None else self.support_lo() or (0,) * self.n
             window = {"lo": list(lo), "hi": list(self.hi)}
         return {"n": self.n, "terms": terms, "window": window}
-
-
-class SeriesTerms(Mapping):
-    """The ``terms`` of a :class:`LaurentElt`: ``{index tuple: Coef}``, read-only.
-
-    It stores nothing: each iteration decodes the series' packed keys and
-    each lookup packs the tuple it is given.
-    """
-
-    __slots__ = ("_series",)
-
-    def __init__(self, series):
-        self._series = series
-
-    def __len__(self):
-        return len(self._series._terms)
-
-    def __iter__(self):
-        n = self._series.n
-        return (_decode(k, n) for k in self._series._terms)
-
-    def __getitem__(self, l):
-        series = self._series
-        try:
-            key = _pack(l) if len(l) == series.n else None
-        except TypeError:
-            key = None
-        c = series._terms.get(key)
-        if c is None:
-            raise KeyError(l)
-        return c
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 def _min_known(l, m):
@@ -900,7 +868,7 @@ def _nil_cost(ring, c):
     injective on each graded piece.  ``c * u`` and ``c`` thus have the same
     cost, and so a generator and its multiple by a unit the same floor.
     """
-    nil = [e[ring.nfree:] for e in c.terms]
+    nil = [ring._decode(k)[ring.nfree:] for k in c._mono]
     return ([min(e[k] for e in nil) for k in range(len(ring.nil_orders))]
             + [min(sum(e) for e in nil)])
 

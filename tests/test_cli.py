@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import ccsym
+from ccsym import errors
 from ccsym.checks import SUITES
-from ccsym.cli import main
+from ccsym.cli import _COMMANDS, main
 from ccsym.coeff import RingSpec, ring_new
 from ccsym.laurent import series_from_json
 
@@ -532,3 +533,29 @@ def test_check_refuses_a_negative_n(suite):
     code, out = run_cli({"command": "check", "suite": suite, "n": -1})
     assert code == 1 and out["error"] == {"kind": "ParseError",
                                           "detail": "n must not be negative, got -1"}
+
+
+KINDS = {cls.kind for cls in vars(errors).values()
+         if isinstance(cls, type) and issubclass(cls, errors.EngineError)}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_check_suite_answers_json_at_n_zero(suite):
+    doc = {"command": "check", "suite": suite, "n": 0, "trials": 3, "seed": 0,
+           "degree": 2, "radius": 1, "samples": 50}
+    code, out = run_cli(doc)
+    if code == 0:
+        assert out["ok"] is True
+    else:
+        assert code in (1, 2) and out["ok"] is False and out["error"]["kind"] in KINDS
+
+
+def test_an_engine_fault_answers_json(monkeypatch):
+    # an exception no handler maps to an error kind is still one JSON line
+    def fault(doc):
+        return [][0]
+
+    monkeypatch.setitem(_COMMANDS, "nu", fault)
+    code, out = run_cli({"command": "nu", "n": 1, "tuple": []})
+    assert code == 2 and out == {"ok": False, "error": {
+        "kind": "InternalConsistency", "detail": "IndexError: list index out of range"}}
