@@ -32,7 +32,8 @@ class NotSharpError(EngineError):
 class StabilityExhaustedError(EngineError):
     """A windowed computation could not be certified exact.
 
-    Raised both when the doubling budget runs out and when an expansion is
+    Raised both when the window budget of ``stable_coefficient`` runs out
+    (seven windows, none past 64 times the first) and when an expansion is
     detected to be non-convergent in any box window (lex-shaped tails).
     """
 

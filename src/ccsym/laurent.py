@@ -1123,23 +1123,44 @@ def stable_coefficient(build, target):
 
     ``build`` is called with the current window and must return a
     :class:`LaurentElt`.  The first window reaches at least 2, and one past
-    the target, on each side; each retry doubles it, six times at most.
-    Because every windowed value carries its own exactness certificate, a
-    returned coefficient is provably correct; inputs whose expansions cannot
-    converge in any box raise immediately.
+    the target, on each side.  A retry grows the ceiling by what the failed
+    value's certificate lacks: a coordinate certified up to ``got_j`` below
+    ``target_j`` grows from ``hi_j`` to ``max(2 * hi_j, hi_j + target_j -
+    got_j)``, a coordinate already certified keeps its ceiling, and the floor
+    doubles.  A ``build`` that raises ``WindowExceededError`` itself leaves no
+    certificate to read, and its whole ceiling doubles.  No ceiling passes 64
+    times the first, no ceiling is tried twice, and at most seven windows are
+    tried.  Because every windowed value carries its own exactness
+    certificate, a returned coefficient is provably correct; inputs whose
+    expansions cannot converge in any box raise immediately.
     """
     target = tuple(target)
     lo = tuple(min(-2, t - 1) for t in target)
     hi = tuple(max(2, t + 1) for t in target)
+    cap = tuple(64 * h for h in hi)
+    tried = []
     for _ in range(7):
-        window = Window(lo, hi)
+        window, value = Window(lo, hi), None
         try:
-            return build(window).coefficient(target)
+            value = build(window)
+            return value.coefficient(target)
         except WindowExceededError as exc:
             last = exc
-            lo, hi = tuple(2 * x for x in lo), tuple(2 * x for x in hi)
+        if value is None:
+            tried.append(f"hi={hi}")
+            grown = [2 * h for h in hi]
+        else:
+            got = value.hi
+            tried.append(f"hi={hi} certified to {got}")
+            grown = [h if g >= t else max(2 * h, h + t - g)
+                     for h, g, t in zip(hi, got, target)]
+        grown = tuple(map(min, grown, cap))
+        if grown == hi:
+            break  # every coordinate that falls short is at the cap already
+        lo, hi = tuple(2 * x for x in lo), grown
     raise StabilityExhaustedError(
-        f"no window up to {window.hi} certified the coefficient at {target} ({last.detail})")
+        f"no window up to {window.hi} certified the coefficient at {target} "
+        f"({last.detail}); tried {', '.join(tried)}")
 
 
 # -- serialization ---------------------------------------------------------------------

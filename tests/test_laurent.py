@@ -324,6 +324,61 @@ def test_stable_coefficient_names_the_last_window_tried():
     assert exc.value.detail.startswith("no window up to (128,) certified")
 
 
+def test_stable_coefficient_grows_by_what_the_certificate_lacks(Q):
+    # 1 / (1 - t1 - t2) times t^(-3,-12): certified up to window.hi - (3, 12),
+    # so the target (-1,-1) is the coefficient C(13, 2) of t^(2,11) in 1/f
+    f = from_terms(Q, 2, [((0, 0), 1), ((1, 0), -1), ((0, 1), -1)])
+    shift = monomial(Q, 2, (-3, -12))
+    tried = []
+
+    def build(window):
+        tried.append(window.hi)
+        return invert(f, window) * shift
+
+    got = stable_coefficient(build, (-1, -1))
+    # t1 is covered at once and keeps its ceiling; t2 lacks 9 and grows by it
+    assert tried == [(2, 2), (2, 11)]
+    # doubling would first certify the target at the window (32, 32)
+    assert got == build(Window.cube(2, 32)).coefficient((-1, -1)) == Q.from_scalar(78)
+
+
+def test_stable_coefficient_under_a_fixed_ceiling_exhausts_within_the_cap(Q):
+    tried = []
+
+    def build(window):
+        tried.append(window)
+        return from_terms(Q, 2, [((-1, -1), 1)], Window((-9, -9), (-5, 0)))
+
+    with pytest.raises(StabilityExhaustedError) as exc:
+        stable_coefficient(build, (-1, -1))
+    his = [w.hi for w in tried]
+    assert len(tried) <= 7
+    assert len(set(his)) == len(his)
+    assert all(h <= 64 * first for w in tried for h, first in zip(w.hi, his[0]))
+    assert his == [(2, 2), (6, 2), (12, 2), (24, 2), (48, 2), (96, 2), (128, 2)]
+    assert exc.value.detail.startswith("no window up to (128, 2) certified")
+    assert "hi=(2, 2) certified to (-5, 0), hi=(6, 2) certified to (-5, 0)" in exc.value.detail
+
+    # a shortfall past the cap: the capped window is tried once, then it raises
+    tried.clear()
+    with pytest.raises(StabilityExhaustedError):
+        stable_coefficient(lambda w: build(w).shift((-100, 0)), (-1, -1))
+    assert [w.hi for w in tried] == [(2, 2), (106, 2), (128, 2)]
+
+
+def test_stable_coefficient_doubles_a_build_that_raises():
+    tried = []
+
+    def build(window):
+        tried.append((window.lo, window.hi))
+        raise WindowExceededError("never certified")
+
+    with pytest.raises(StabilityExhaustedError) as exc:
+        stable_coefficient(build, (0, 5))
+    assert tried == [((-2 ** (k + 1),) * 2, (2 ** (k + 1), 6 * 2 ** k)) for k in range(7)]
+    assert "tried hi=(2, 6), hi=(4, 12)," in exc.value.detail
+
+
 # -- serialization -----------------------------------------------------------------------------
 
 def test_series_json_round_trip(tower):
