@@ -477,14 +477,7 @@ def certified_residues(terms):
         return len({chain[::step][:k] for _, summands, _ in plans
                     for _, chain in summands for k in range(2, len(chain))})
 
-    # One residue at n <= 3 needs no count.  Say P live permutations, F_k
-    # distinct first k slot indices and B_k distinct last k: left to right
-    # forms F_1 + ... + F_{n-1} prefixes, right to left B_2 + ... + B_n, and
-    # n - 1 slot indices fix a permutation, so F_{n-1} = B_{n-1} = B_n = P
-    # while F_1 <= P.  At n = 2 that is F_1 <= P, at n = 3 F_1 + P <= 2P.  At
-    # n = 4 it fails: (1,2,3,4) and (2,1,3,4) form 6 prefixes one way, 5 the other.
-    uncounted = len(plans) == 1 and plans[0][0][0].n <= 3
-    step = 1 if uncounted or formed(1) <= formed(-1) else -1
+    step = 1 if formed(1) <= formed(-1) else -1
     out, products = [], {}
     for chosen, summands, reached in plans:
         ring = chosen[0].ring

@@ -1126,13 +1126,13 @@ def stable_coefficient(build, target):
     the target, on each side.  A retry grows the ceiling by what the failed
     value's certificate lacks: a coordinate certified up to ``got_j`` below
     ``target_j`` grows from ``hi_j`` to ``max(2 * hi_j, hi_j + target_j -
-    got_j)``, a coordinate already certified keeps its ceiling, and the floor
-    doubles.  A ``build`` that raises ``WindowExceededError`` itself leaves no
-    certificate to read, and its whole ceiling doubles.  No ceiling passes 64
-    times the first, no ceiling is tried twice, and at most seven windows are
-    tried.  Because every windowed value carries its own exactness
-    certificate, a returned coefficient is provably correct; inputs whose
-    expansions cannot converge in any box raise immediately.
+    got_j)``, and its floor doubles; a coordinate already certified keeps its
+    ceiling and its floor.  A ``build`` that raises ``WindowExceededError``
+    itself leaves no certificate to read, and its whole window doubles.  No
+    ceiling passes 64 times the first, no window is tried twice, and at most
+    seven windows are tried.  Because every windowed value carries its own
+    exactness certificate, a returned coefficient is provably correct; inputs
+    whose expansions cannot converge in any box raise immediately.
     """
     target = tuple(target)
     lo = tuple(min(-2, t - 1) for t in target)
@@ -1157,7 +1157,10 @@ def stable_coefficient(build, target):
         grown = tuple(map(min, grown, cap))
         if grown == hi:
             break  # every coordinate that falls short is at the cap already
-        lo, hi = tuple(2 * x for x in lo), grown
+        # a ceiling may rest on the floor (a product's adds the other
+        # factor's), so a coordinate that keeps its ceiling keeps its floor
+        lo = tuple(x if g == h else 2 * x for x, g, h in zip(lo, grown, hi))
+        hi = grown
     raise StabilityExhaustedError(
         f"no window up to {window.hi} certified the coefficient at {target} "
         f"({last.detail}); tried {', '.join(tried)}")

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import json
 import pathlib
 import random
@@ -142,23 +141,6 @@ def test_a_witt_pairing_forms_one_chain_product_per_permutation(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main([]) == 0
     assert json.loads(out.getvalue())["ok"] and 1 <= len(formed) <= 2
-
-
-def test_one_residue_up_to_n_3_reads_left_to_right_at_no_cost():
-    # certified_residues reads a batch of one residue at n <= 3 left to right
-    # without counting: over every set of live permutations, the chains
-    # (g, slot_1, ..., slot_n) form no more prefixes that way than right to left
-    def formed(perms, step):
-        return len({chain[::step][:k] for chain in (("g",) + p for p in perms)
-                    for k in range(2, len(chain))})
-
-    for n in (1, 2, 3):
-        perms = list(itertools.permutations(range(1, n + 1)))
-        for size in range(1, len(perms) + 1):
-            for live in itertools.combinations(perms, size):
-                assert formed(live, 1) <= formed(live, -1), live
-    live = [(1, 2, 3, 4), (2, 1, 3, 4)]
-    assert formed(live, 1) == 6 > formed(live, -1) == 5
 
 
 def test_log_factor_matches_hand_expansion(Qe):

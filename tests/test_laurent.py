@@ -342,41 +342,53 @@ def test_stable_coefficient_grows_by_what_the_certificate_lacks(Q):
     assert got == build(Window.cube(2, 32)).coefficient((-1, -1)) == Q.from_scalar(78)
 
 
-def test_stable_coefficient_under_a_fixed_ceiling_exhausts_within_the_cap(Q):
-    tried = []
-
-    def build(window):
-        tried.append(window)
-        return from_terms(Q, 2, [((-1, -1), 1)], Window((-9, -9), (-5, 0)))
-
-    with pytest.raises(StabilityExhaustedError) as exc:
-        stable_coefficient(build, (-1, -1))
-    his = [w.hi for w in tried]
-    assert len(tried) <= 7
-    assert len(set(his)) == len(his)
-    assert all(h <= 64 * first for w in tried for h, first in zip(w.hi, his[0]))
-    assert his == [(2, 2), (6, 2), (12, 2), (24, 2), (48, 2), (96, 2), (128, 2)]
-    assert exc.value.detail.startswith("no window up to (128, 2) certified")
-    assert "hi=(2, 2) certified to (-5, 0), hi=(6, 2) certified to (-5, 0)" in exc.value.detail
-
-    # a shortfall past the cap: the capped window is tried once, then it raises
-    tried.clear()
-    with pytest.raises(StabilityExhaustedError):
-        stable_coefficient(lambda w: build(w).shift((-100, 0)), (-1, -1))
-    assert [w.hi for w in tried] == [(2, 2), (106, 2), (128, 2)]
-
-
-def test_stable_coefficient_doubles_a_build_that_raises():
+def test_stable_coefficient_keeps_the_floor_of_a_certified_coordinate(Q):
+    # a product of two windowed series is certified up to window.hi +
+    # window.lo, so a coordinate that keeps its ceiling must keep its floor
     tried = []
 
     def build(window):
         tried.append((window.lo, window.hi))
-        raise WindowExceededError("never certified")
+        one = from_terms(Q, 2, [((0, 0), 1)], window)
+        return one * one
+
+    assert stable_coefficient(build, (-1, 3)) == Q.zero()
+    assert tried == [((-2, -2), (2, 4)), ((-2, -4), (2, 8))]
+
+
+@pytest.mark.parametrize("ceiling, target, windows, detail", [
+    # a value certified to (-5, 0): t1 grows by what it lacks, t2 is covered
+    ((-5, 0), (-1, -1),
+     list(zip([(-2 ** (k + 1), -2) for k in range(7)],
+              [(2, 2), (6, 2), (12, 2), (24, 2), (48, 2), (96, 2), (128, 2)])),
+     "tried hi=(2, 2) certified to (-5, 0), hi=(6, 2) certified to (-5, 0),"),
+    # a shortfall past the cap: the capped window is tried once, then it raises
+    ((-105, 0), (-1, -1),
+     [((-2, -2), (2, 2)), ((-4, -2), (106, 2)), ((-8, -2), (128, 2))],
+     "tried hi=(2, 2) certified to (-105, 0), hi=(106, 2) certified to (-105, 0), "
+     "hi=(128, 2) certified to (-105, 0)"),
+    # a build that raises leaves no certificate, and its window doubles
+    (None, (0, 5),
+     [((-2 ** (k + 1),) * 2, (2 ** (k + 1), 6 * 2 ** k)) for k in range(7)],
+     "tried hi=(2, 6), hi=(4, 12),"),
+], ids=["fixed-ceiling", "past-the-cap", "build-raises"])
+def test_stable_coefficient_exhausts_within_the_cap(Q, ceiling, target, windows, detail):
+    tried = []
+
+    def build(window):
+        tried.append((window.lo, window.hi))
+        if ceiling is None:
+            raise WindowExceededError("never certified")
+        return from_terms(Q, 2, [], Window((ceiling[0] - 4, -9), ceiling))
 
     with pytest.raises(StabilityExhaustedError) as exc:
-        stable_coefficient(build, (0, 5))
-    assert tried == [((-2 ** (k + 1),) * 2, (2 ** (k + 1), 6 * 2 ** k)) for k in range(7)]
-    assert "tried hi=(2, 6), hi=(4, 12)," in exc.value.detail
+        stable_coefficient(build, target)
+    first = tried[0][1]
+    assert len(tried) <= 7 and len(set(tried)) == len(tried)
+    assert all(h <= 64 * f for _, hi in tried for h, f in zip(hi, first))
+    assert tried == windows
+    assert exc.value.detail.startswith(f"no window up to {windows[-1][1]} certified")
+    assert detail in exc.value.detail
 
 
 # -- serialization -----------------------------------------------------------------------------
