@@ -27,9 +27,9 @@ _HOMES = {
                "NotSharpError", "ParseError", "RingMismatchError",
                "StabilityExhaustedError", "UnsupportedRingError"),
     "laurent": ("LaurentElt", "UnitDecomposition", "Window",
-                "coarse_split", "compose_series", "decompose", "exp_sharp", "from_terms",
-                "invert", "log_sharp", "monomial", "one", "stable_coefficient", "t_var",
-                "valuation", "zero"),
+                "coarse_split", "decompose", "exp_sharp", "from_terms", "invert",
+                "log_sharp", "monomial", "one", "stable_coefficient", "t_var", "valuation",
+                "zero"),
     "forms": ("DiffForm", "Dlog", "Log", "certified_residue", "certified_residues",
               "d", "dlog", "res", "wedge"),
     "symbol": ("additive_symbol", "cc", "cc_eps_linearization", "cc_eta_linearization",

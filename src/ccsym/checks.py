@@ -228,7 +228,7 @@ def suite_witt_bilinear(ring=None, n=1, trials=20, seed=0):
                                   witt_mod.witt_pair([f2] + [f1] * (n - 1), g))
         if prod_pair != split:
             return {"slot": "multiplicative", "f1": str(f1), "f2": str(f2)}
-        gh = witt_mod.witt_add_rational(g, h)
+        gh = witt_mod.witt_add(g, h)
         lhs = witt_mod.witt_pair([f1] * n, gh)
         rhs = witt_mod.witt_add(witt_mod.witt_pair([f1] * n, g),
                                 witt_mod.witt_pair([f1] * n, h))

@@ -317,17 +317,6 @@ class Ring:
             return pow(s, self.modulus.bit_length(), self.modulus) == 0
         return s == 0
 
-    def scalar_inverse(self, s):
-        if self.base == "Q":
-            if s == 0:
-                raise NotInvertibleError("0 is not invertible")
-            return 1 / Fraction(s)
-        if self.base == "Z":
-            if s in (1, -1):
-                return s
-            raise NotInvertibleError(f"{s} is not invertible over Z")
-        return self._scalar_inverse_mod(s)
-
     def requires_connected(self):
         """Nilpotence/valuation decisions need a connected spectrum."""
         if self.base == "mod" and self.mod_prime_power is None:

@@ -9,21 +9,21 @@ certified to lie above ``floor`` componentwise.  All operations propagate
 these certificates, so a coefficient read off a windowed element is exact or
 raises; there is no silent truncation error.
 
-Infinite expansions (geometric inverses, log, exp, composition) are summed
-with a budget derived from the nilpotency index of the coefficient ring and
-the requested window.  Budgets exist only when every non-nilpotent monomial
-of the expansion generator has componentwise-nonnegative exponent (the
-"orthant" condition); generators with unit coefficients in mixed directions,
-such as ``1 - t1^-1*t2``, have lex-shaped tails that no box window can
-capture and are rejected with a stability error.  Under a ceiling, each
-power of the generator keeps only the indices from which the factors still
-to come can return below it, so ``log``, ``exp`` and composition are
-windowed there even when the series terminates by nilpotency; an inverse
-that terminates so stays exact.  An expansion that ``forms.certified_residues``
-plans may also have a band floor; a windowed sum is then cut from below as
-well, and is exact on the band alone.  The split record of a unit
-``g = c + h``, :class:`_Sharp`, expands ``log(g / c)`` and ``1 / g`` from
-``h``, without forming the sharp part ``S = g / c``.
+Infinite expansions (geometric inverses, log, exp) are summed with a budget
+derived from the nilpotency index of the coefficient ring and the requested
+window.  Budgets exist only when every non-nilpotent monomial of the
+expansion generator has componentwise-nonnegative exponent (the "orthant"
+condition); generators with unit coefficients in mixed directions, such as
+``1 - t1^-1*t2``, have lex-shaped tails that no box window can capture and
+are rejected with a stability error.  Under a ceiling, each power of the
+generator keeps only the indices from which the factors still to come can
+return below it, so ``log`` and ``exp`` are windowed there even when the
+series terminates by nilpotency; an inverse that terminates so stays exact.
+An expansion that ``forms.certified_residues`` plans may also have a band
+floor; a windowed sum is then cut from below as well, and is exact on the
+band alone.  The split record of a unit ``g = c + h``, :class:`_Sharp`,
+expands ``log(g / c)`` and ``1 / g`` from ``h``, without forming the sharp
+part ``S = g / c``.
 
 Indices are stored as packed int keys.  Each ``t_j`` has one field of
 ``_BITS`` value bits holding its exponent plus ``2**(_BITS - 1)``, with a
@@ -420,8 +420,10 @@ class LaurentElt:
         return LaurentElt._make(self.ring, self.n, raw, hi, floor)
 
     def map_coefficients(self, new_ring, fn):
-        return LaurentElt(new_ring, self.n, {k: fn(c) for k, c in self._terms.items()},
-                          self.hi, self.floor)
+        """``fn`` applied to each coefficient; a coefficient that ``fn`` sends
+        to zero (a reduction mod m) is dropped."""
+        mapped = ((k, fn(c)) for k, c in self._terms.items())
+        return LaurentElt(new_ring, self.n, {k: c for k, c in mapped if c}, self.hi, self.floor)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -429,7 +431,7 @@ class LaurentElt:
         """Constant and lex-negative coefficients nilpotent; positive part free.
 
         A windowed element is judged on its stored terms: the expansions that
-        accept one (log, exp, composition) certify the rest from its floor.
+        accept one (log, exp) certify the rest from its floor.
         """
         bias = _layout(self.n)[0]
         return all(c.is_nilpotent() for k, c in self._terms.items() if k <= bias)
@@ -893,8 +895,7 @@ def _nil_depth(ring, items):
     return best
 
 
-def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=False,
-                   band=None, parts=None):
+def _expand_series(g: LaurentElt, coeff_at, hi, parts, band=None):
     """Sum of ``coeff_at(i) * g^i`` for i >= 0, certified on ``{tau <= hi}``.
 
     Non-nilpotent monomials of ``g`` must be lex-positive and componentwise
@@ -903,22 +904,19 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
     evaluated on a padded work box that provably loses nothing below the
     ceiling.  The ceiling ``hi`` is an index tuple, or None for none: no
     expansion reads a window's ``lo``.  A generator with no unit coefficient
-    terminates by nilpotency alone: without a ceiling (or with
-    ``keep_exact``) its sum is exact, under one it is windowed with ``hi``
-    and the expansion floor.  ``coeff_at(i)`` is a scalar or a ``Coef``;
-    ``parts``, when given, are ``_generator_parts(g)``, computed once by the
-    caller.
+    terminates by nilpotency alone: without a ceiling its sum is exact,
+    under one it is windowed with ``hi`` and the expansion floor.
+    ``coeff_at(i)`` is a scalar or a ``Coef``; ``parts`` are
+    ``_generator_parts(g)``, computed once by the caller.
 
     Under a ceiling, ``g^i`` is cut at the highest index from which the
     ``budget - i`` factors still to come can bring a term back to ``hi``:
     each lowers ``t_j`` by at most the deepest negative ``t_j`` exponent of
     a nilpotent term, and a nonzero product of them by at most the floor's
-    depth, which the work box already allows.  A clipped composition keeps
-    the whole work box for every power, since its termination test reads
-    the next power there.  ``c_i * g^i`` enters the sum only at ``<= hi``.
-    A windowed generator is accepted when its support floor is componentwise
-    nonnegative (no unknown term can then re-enter the certified box); the
-    result's ceiling shrinks to the generator's.
+    depth, which the work box already allows.  ``c_i * g^i`` enters the sum
+    only at ``<= hi``.  A windowed generator is accepted when its support
+    floor is componentwise nonnegative (no unknown term can then re-enter
+    the certified box); the result's ceiling shrinks to the generator's.
 
     With a ``band`` (only ``forms.certified_residues`` plans one), a windowed
     sum is also cut from below: ``g^i`` at the lowest index from which the
@@ -926,20 +924,19 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
     ``t_j`` by at most the largest positive ``t_j`` exponent of a term of
     ``g``), and ``c_i * g^i`` enters the sum only on ``[band, hi]``.  Such a
     sum reads zero below the band, so it is no certified value outside its
-    caller.  Exact and clipped sums stay unbanded: their termination test
-    reads whole powers.
+    caller.  An exact sum stays unbanded.
     """
     ring = g.ring
     n = g.n
     bias, guard = _layout(n)
-    unit_idx, nil_idx, work_lo = parts if parts is not None else _generator_parts(g)
+    unit_idx, nil_idx, work_lo = parts
     if g.hi is not None:
         hi = g.hi if hi is None else _min_idx(hi, g.hi)
     a_budget = ring.nil_index - 1
     terminating = not unit_idx and g.hi is None
-    exact = terminating and (hi is None or keep_exact)
+    exact = terminating and hi is None
     if exact:
-        budget, work_lo, work_hi = a_budget, None, None
+        budget, work_lo, band = a_budget, None, None
     elif hi is None:
         raise StabilityExhaustedError("infinite expansion requires a window")
     else:
@@ -952,15 +949,9 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
         budget = b_budget + a_budget
         work_hi = tuple(min(b_budget * posu[j] + a_budget * posnil[j], hi[j] - work_lo[j])
                         for j in range(n))
-    clipped = max_degree is not None and max_degree < budget
-    if clipped:
-        budget = max_degree
     if not terminating and budget > _EXPANSION_SANITY:
         raise StabilityExhaustedError(f"expansion budget {budget} exceeds the sanity bound")
-    cut = not (exact or clipped)
-    if not cut:
-        band = None
-    elif band is not None:
+    if band is not None:
         # the lower cut rises above work_lo once at most `near` factors are to come
         near = max((b - w - 1) // d if d else (budget if b > w else -1)
                    for w, b, d in zip(work_lo, band, pos))
@@ -973,13 +964,13 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
     acc_den, acc = 1, {}
     den, p = 1, {bias: [(ring._bias, 1)]}  # g^0
     # the boxes as packed bound keys (None: open side)
-    work_top = top = None if work_hi is None else _hi_key(work_hi)
-    work_bottom = bottom = None if work_lo is None else _lo_key(work_lo)
+    top = None
+    bottom = None if exact else _lo_key(work_lo)
     box = None if exact else _hi_key(hi)
     band_key = None if band is None else _lo_key(band)
     for i in range(budget + 1):
         if i:
-            if cut:
+            if not exact:
                 top = _hi_key(_min_idx(work_hi, [h + (budget - i) * d for h, d in zip(hi, neg)]))
                 if band is not None and budget - i <= near:
                     bottom = _lo_key(tuple(max(w, b - (budget - i) * d)
@@ -1006,11 +997,10 @@ def _expand_series(g: LaurentElt, coeff_at, hi, max_degree=None, keep_exact=Fals
             if exact or ((box - k) & guard == guard
                          and (band_key is None or ((k | guard) - band_key) & guard == guard)):
                 mul_into(ring, acc.setdefault(k, {}), xp, xs)
-    # an exact or clipped sum is complete only once the next power leaves the box
-    if (exact or clipped) and _carried(
-            ring, _flat_product(ring, n, p, g_flat, work_top, work_bottom), den * g_den)[1]:
-        raise StabilityExhaustedError(
-            "series coefficients exhausted before the expansion terminated")
+    # every nilpotent product dies at the power nil_index
+    if exact and _carried(ring, _flat_product(ring, n, p, g_flat, None, None), den * g_den)[1]:
+        raise InternalConsistencyError(
+            f"{g} survives the power {ring.nil_index}, the nil index of {ring}")
     return LaurentElt._make(ring, n, _coefs(ring, acc, acc_den), None if exact else hi,
                             work_lo)
 
@@ -1063,13 +1053,16 @@ class _Sharp:
         :func:`_expand_series`) up to the ceiling ``hi``: windowed under a
         ceiling, also where it terminates."""
         return _expand_series(self.h, self._weighted(log_coefficient, 0), hi,
-                              band=band, parts=self.parts)
+                              self.parts, band)
 
     def inverse(self, hi, band=None):
         """``1 / g = sum (-1)^i * c^-(i + 1) * h^i`` up to the ceiling
-        ``hi``: exact where it terminates by nilpotency, ceiling or not."""
+        ``hi``: exact where it terminates by nilpotency, ceiling or not, so
+        an exact ``h`` with no unit term is expanded with no ceiling."""
+        if not self.parts[0] and self.h.hi is None:
+            hi = None
         return _expand_series(self.h, self._weighted(geometric_coefficient, 1), hi,
-                              keep_exact=True, band=band, parts=self.parts)
+                              self.parts, band)
 
 
 def _ceiling(window):
@@ -1106,13 +1099,7 @@ def log_sharp(f: LaurentElt, window: Window = None) -> LaurentElt:
 def exp_sharp(g: LaurentElt, window: Window = None) -> LaurentElt:
     if not g.ring.has_rationals():
         raise UnsupportedRingError("exp needs rational coefficients")
-    return _expand_series(g, exp_coefficient, _ceiling(window))
-
-
-def compose_series(phi_coeffs, f: LaurentElt, window: Window = None) -> LaurentElt:
-    """phi(f) for a univariate power series phi given by its coefficients."""
-    coeffs = list(phi_coeffs)
-    return _expand_series(f, lambda i: coeffs[i], _ceiling(window), max_degree=len(coeffs) - 1)
+    return _expand_series(g, exp_coefficient, _ceiling(window), _generator_parts(g))
 
 
 # -- the stability protocol -----------------------------------------------------------

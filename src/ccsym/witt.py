@@ -5,6 +5,9 @@ ring of iterated Laurent series (the pairing's right argument).  Addition is
 computed through ghost coordinates ``w(i) = sum_{d|i} d w_d^{i/d}``; the
 inverse passage divides by the index and certifies integrality, which over an
 integral base is the classical integrality of Witt addition made executable.
+Over Q a coordinate may carry a denominator, and the passage keeps it.  Over
+Z/m an index need not be a unit, so addition, negation and the pairing lift
+their coordinates to Z, compute there and reduce.
 
 ``witt_pair`` sends ``(f_1, ..., f_n | g]`` to the Witt vector over the
 coefficient ring whose i-th ghost coordinate is
@@ -12,6 +15,8 @@ coefficient ring whose i-th ghost coordinate is
 """
 
 from __future__ import annotations
+
+import operator
 
 from .coeff import Coef, Struct
 from .errors import (
@@ -141,37 +146,49 @@ def ghost_to_coords(g: GhostVector):
     return WittVector(g.S, coords), integral
 
 
-def _integral_coords(S, ghosts, what, strict=True):
-    """Witt coordinates of ghost coordinates that ``what`` must keep integral."""
+def _integral_coords(S, ghosts, what):
+    """Witt coordinates of ghost coordinates that ``what`` keeps integral
+    over an integral base, where a division that is not exact raises."""
     try:
-        out, integral = ghost_to_coords(GhostVector(S, ghosts))
+        return ghost_to_coords(GhostVector(S, ghosts))[0]
     except InexactDivisionError as exc:
         raise InternalConsistencyError(
             f"{what} produced a non-integral coordinate: {exc.detail}") from exc
-    if strict and not integral:
-        raise InternalConsistencyError(f"{what} produced a non-integral coordinate")
-    return out
+
+
+def _through_Z(ring, op, *args):
+    """``op(*args)`` computed over the lift of a modular ``ring`` to Z and
+    reduced; each argument and the result is a Witt vector or a list of series."""
+    lifted, lift, drop = ring.integer_lift()
+
+    def move(x, to, fn):
+        if isinstance(x, WittVector):
+            return WittVector(x.S, {i: move(v, to, fn) for i, v in x.coords.items()})
+        if isinstance(x, list):
+            return [move(v, to, fn) for v in x]
+        return fn(x) if isinstance(x, Coef) else x.map_coefficients(to, fn)
+
+    return move(op(*(move(a, lifted, lift) for a in args)), ring, drop)
+
+
+def _from_ghosts(what, op, *ws):
+    """The Witt vector whose ghost coordinates are ``op`` of those of ``ws``;
+    over a modular base it is computed over Z and reduced."""
+    ring = next((x.ring for x in ws[0].coords.values()), None)
+    if ring is not None and ring.base == "mod":
+        return _through_Z(ring, lambda *vs: _from_ghosts(what, op, *vs), *ws)
+    ghosts = [ghost(w).ghost for w in ws]
+    return _integral_coords(ws[0].S, {i: op(*(g[i] for g in ghosts)) for i in ws[0].S}, what)
 
 
 def witt_add(w: WittVector, v: WittVector) -> WittVector:
     if w.S != v.S:
         raise ParseError("index sets differ")
-    ga, gb = ghost(w), ghost(v)
-    return _integral_coords(w.S, {i: ga.ghost[i] + gb.ghost[i] for i in w.S}, "Witt addition")
-
-
-def witt_add_rational(w: WittVector, v: WittVector) -> WittVector:
-    """Witt addition without the integrality assertion (rational coefficients)."""
-    if w.S != v.S:
-        raise ParseError("index sets differ")
-    ga, gb = ghost(w), ghost(v)
-    out, _ = ghost_to_coords(GhostVector(w.S, {i: ga.ghost[i] + gb.ghost[i] for i in w.S}))
-    return out
+    return _from_ghosts("Witt addition", operator.add, w, v)
 
 
 def witt_neg(w: WittVector) -> WittVector:
-    g = ghost(w)
-    return _integral_coords(w.S, {i: -g.ghost[i] for i in w.S}, "Witt negation")
+    return _from_ghosts("Witt negation", operator.neg, w)
 
 
 def project(w: WittVector, sub: IndexSet) -> WittVector:
@@ -216,14 +233,9 @@ def witt_pair(fs, g: WittVector):
         raise ParseError(f"the pairing needs {n} series over {n} variables")
     require_exact(fs, "witt-pair")
     if ring.base == "mod":
-        lifted_ring, lift, drop = ring.integer_lift()
-        fs_l = [f.map_coefficients(lifted_ring, lift) for f in fs]
-        g_l = WittVector(g.S, {i: v.map_coefficients(lifted_ring, lift)
-                               for i, v in g.coords.items()})
-        out = witt_pair(fs_l, g_l)
-        return WittVector(out.S, {i: drop(v) for i, v in out.coords.items()})
+        return _through_Z(ring, witt_pair, fs, g)
 
     gg = ghost(g)
     slots = [Dlog(f) for f in fs]
     residues = dict(zip(g.S, certified_residues([(gg.ghost[i], slots) for i in g.S])))
-    return _integral_coords(g.S, residues, "Witt pairing", strict=ring.base != "Q")
+    return _integral_coords(g.S, residues, "Witt pairing")

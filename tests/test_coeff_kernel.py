@@ -240,7 +240,7 @@ def inverse_by_series(x):
     series of ``w = 1 - x * c0^-1`` summed with ``Coef`` products and sums,
     then scaled by ``c0^-1``."""
     ring = x.ring
-    inv0 = ring.scalar_inverse(x.constant_scalar())
+    inv0 = ring.scalar(Fraction(1, x.constant_scalar()))
     w = ring.one() - x * inv0
     acc, p = ring.one(), w
     for _ in range(1, ring.nil_index):

@@ -17,7 +17,6 @@ from ccsym.laurent import (
     LaurentElt,
     Window,
     coarse_split,
-    compose_series,
     decompose,
     exp_sharp,
     from_terms,
@@ -234,51 +233,6 @@ def test_log_exp_round_trip_windowed(Q):
     back = exp_sharp(log_sharp(f, w), w)
     for i in range(7):
         assert back.coefficient((i,)) == f.terms.get((i,), Q.zero())
-
-
-def test_compose_series_examples(Qe, Q):
-    e = Qe.gen("e")
-    li2 = [Fraction(0)] + [Fraction(1, i * i) for i in range(1, 6)]
-    f = monomial(Qe, 1, (1,), e)
-    assert compose_series(li2, f) == f  # e^2 = 0 kills all higher terms
-    log_coeffs = [Fraction(0)] + [Fraction((-1) ** (i + 1), i) for i in range(1, 8)]
-    t = t_var(Q, 1, 1)
-    got = compose_series(log_coeffs, t, Window.box((-1,), (3,)))
-    assert [got.coefficient((i,)) for i in range(1, 4)] == \
-        [Q.one(), Q.from_scalar(Fraction(-0.5)), Q.from_scalar(Fraction(1, 3))]
-
-
-def _poly_compose(outer, inner, degree):
-    """Formal composition of truncated power series coefficient lists."""
-    out = [Fraction(0)] * (degree + 1)
-    out[0] = outer[0]
-    power = [Fraction(1)] + [Fraction(0)] * degree
-    for k in range(1, len(outer)):
-        nxt = [Fraction(0)] * (degree + 1)
-        for i, a in enumerate(power):
-            if a == 0:
-                continue
-            for j, b in enumerate(inner):
-                if i + j <= degree and b != 0:
-                    nxt[i + j] += a * b
-        power = nxt
-        for d in range(degree + 1):
-            out[d] += outer[k] * power[d]
-    return out
-
-
-def test_compose_series_associativity(tower):
-    rng = random.Random(15)
-    from ccsym.checks import random_nilpotent_coef
-    for _ in range(10):
-        phi = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(5)]
-        psi = [Fraction(0)] + [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-        f = monomial(tower, 1, (1,), random_nilpotent_coef(rng, tower)) \
-            + monomial(tower, 1, (-1,), random_nilpotent_coef(rng, tower))
-        composed = _poly_compose(phi, psi, 8)
-        lhs = compose_series(phi, compose_series(psi, f))
-        rhs = compose_series(composed, f)
-        assert lhs == rhs
 
 
 # -- stability protocol ---------------------------------------------------------------------

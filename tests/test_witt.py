@@ -25,7 +25,6 @@ from ccsym.witt import (
     project,
     upsilon,
     witt_add,
-    witt_add_rational,
     witt_neg,
     witt_pair,
 )
@@ -96,6 +95,48 @@ def test_witt_add_integral_over_Z_random(Ze):
                             for i in s})
         w2 = WittVector(s, {i: Ze.from_scalar(rng.randint(-5, 5)) for i in s})
         witt_add(w1, w2)  # raises on any non-integral coordinate
+
+
+def test_witt_add_and_neg_keep_denominators_over_Q(Q):
+    """Over Q a sum or negative of coordinates with a denominator may need a
+    larger one: ``(1/2, 0) + (1/2, 0) = (1, -1/4)`` and
+    ``-(1/2, 0) = (-1/2, -1/4)`` in W_{1,2}(Q)."""
+    s12 = IndexSet((1, 2))
+
+    def vec(a, b):
+        return WittVector(s12, {1: Q.from_scalar(a), 2: Q.from_scalar(b)})
+
+    half = vec(Fraction(1, 2), 0)
+    assert witt_add(half, half) == vec(1, Fraction(-1, 4))
+    assert witt_neg(half) == vec(Fraction(-1, 2), Fraction(-1, 4))
+    assert witt_add(half, witt_neg(half)) == vec(0, 0)
+
+
+@pytest.mark.parametrize("m", [4, 8, 9])
+def test_witt_add_and_neg_over_Z_mod_m_are_those_over_Z_reduced(m):
+    """Over Z/m an index that is no unit cannot be divided by, yet Witt
+    addition and negation have integer coefficients: each equals the same
+    operation on integer lifts, reduced mod m."""
+    zm, z = ring_new(RingSpec(m, nil=(("e", 2),))), ring_new(RingSpec("Z", nil=(("e", 2),)))
+    s = IndexSet.closure(range(1, 7))
+    rng = random.Random(m)
+
+    def reduce(w):
+        return WittVector(s, {i: zm.make(dict(c.terms)) for i, c in w.coords.items()})
+
+    for _ in range(5):
+        a, b = (WittVector(s, {i: z.make({(0,): rng.randint(-m, m), (1,): rng.randint(-m, m)})
+                               for i in s}) for _ in range(2))
+        total = witt_add(reduce(a), reduce(b))
+        assert total == reduce(witt_add(a, b))
+        assert witt_neg(reduce(b)) == reduce(witt_neg(b))
+        assert witt_add(total, witt_neg(reduce(b))) == reduce(a)
+    # series coordinates lift coefficient by coefficient
+    t = t_var(zm, 1, 1)
+    s12 = IndexSet((1, 2))
+    g = WittVector(s12, {1: t + 1, 2: t * t})
+    h = WittVector(s12, {1: t + 1, 2: zero(zm, 1)})
+    assert witt_add(witt_add(g, h), witt_neg(h)) == g
 
 
 def test_upsilon_examples(Q):
@@ -189,9 +230,9 @@ def test_witt_pair_bilinear(tower):
         g = WittVector(s, {i: random_laurent_poly(rng, tower, 1, bound=1) for i in s})
         h = WittVector(s, {i: random_laurent_poly(rng, tower, 1, bound=1) for i in s})
         assert witt_pair([f1 * f2], g) == \
-            witt_add_rational(witt_pair([f1], g), witt_pair([f2], g))
-        assert witt_pair([f1], witt_add_rational(g, h)) == \
-            witt_add_rational(witt_pair([f1], g), witt_pair([f1], h))
+            witt_add(witt_pair([f1], g), witt_pair([f2], g))
+        assert witt_pair([f1], witt_add(g, h)) == \
+            witt_add(witt_pair([f1], g), witt_pair([f1], h))
 
 
 def test_witt_pair_over_modular_base():
